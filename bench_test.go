@@ -97,23 +97,17 @@ func BenchmarkMCEngine(b *testing.B) {
 }
 
 // benchMCPair drives the same event, sample count and seed through one of
-// four engine modes, so any two benchmark functions below form a benchstat
-// ablation pair:
+// two engine modes, so the two benchmark functions below form a benchstat
+// pair:
 //
 //   - "stream": the production path (the exported mc experiment functions,
 //     which run the block-generated fused loop since PR 7)
 //   - "block": the explicit block loop (runner.RunStreamBlocks + the Block*
-//     samplers) — bit-identical to "stream", named separately so the
-//     ablation against "scalar" reads off directly
-//   - "scalar": the pre-block fused loop (runner.RunStream, one draw and
-//     one Feed per symbol) — kept as the ablation baseline
-//   - "batch": the slice-at-a-time oracle engine (runner.Run)
+//     samplers) — bit-identical to "stream", so the pair isolates the
+//     cost of the experiment wrappers
 //
 // All run workers = 1 so the pair isolates the per-sample cost of the
-// core — parallel scaling is BenchmarkMCEngine's job. "stream", "block"
-// and "scalar" draw the same per-sample streams and agree bitwise (the
-// runner-block-scalar-identity conformance invariant); "batch" draws a
-// different (equally valid) stream and agrees statistically.
+// core — parallel scaling is BenchmarkMCEngine's job.
 func benchMCPair(b *testing.B, mode string) {
 	p := charstring.MustParams(0.3, 0.3)
 	sp, err := charstring.NewSemiSyncParams(0.8, 0.12, 0.03, 0.05)
@@ -126,13 +120,8 @@ func benchMCPair(b *testing.B, mode string) {
 		}
 		return e
 	}
-	runFused := func(b *testing.B, n, T int, scalar runner.SymbolSampler, block runner.BlockSampler, mk func() runner.StreamVerdict) mc.Estimate {
-		cfg := runner.Config{N: n, Seed: 7, Workers: 1}
-		if mode == "scalar" {
-			e, err := runner.RunStream(cfg, T, scalar, mk)
-			return mustEst(b, e, err)
-		}
-		e, err := runner.RunStreamBlocks(cfg, T, block,
+	runBlocks := func(b *testing.B, n, T int, block runner.BlockSampler, mk func() runner.StreamVerdict) mc.Estimate {
+		e, err := runner.RunStreamBlocks(runner.Config{N: n, Seed: 7, Workers: 1}, T, block,
 			func() runner.BlockVerdict { return mk().(runner.BlockVerdict) })
 		return mustEst(b, e, err)
 	}
@@ -143,58 +132,37 @@ func benchMCPair(b *testing.B, mode string) {
 		{"E1-NoUHCatalan", func(b *testing.B) mc.Estimate {
 			const s, k, tail, n = 40, 160, 150, 4000
 			const T = s - 1 + k + tail
-			switch mode {
-			case "stream":
+			if mode == "stream" {
 				return mc.NoUniquelyHonestCatalan(p, s, k, tail, n, 7, 1)
-			case "batch":
-				e, err := runner.Run(runner.Config{N: n, Seed: 7, Workers: 1},
-					mc.BernoulliSampler(p, T), mc.NoUniquelyHonestCatalanVerdict(s, k))
-				return mustEst(b, e, err)
 			}
-			return runFused(b, n, T, mc.StreamBernoulliSampler(p), mc.BlockBernoulliMaskSampler(p),
+			return runBlocks(b, n, T, mc.BlockBernoulliMaskSampler(p),
 				func() runner.StreamVerdict { return mc.NewNoUHCatalanStreamVerdict(s, k) })
 		}},
 		{"E3-Settlement", func(b *testing.B) mc.Estimate {
 			const m, k, n = 600, 100, 4000
 			const T = m + k
-			switch mode {
-			case "stream":
+			if mode == "stream" {
 				return mc.SettlementViolation(p, m, k, n, 7, 1)
-			case "batch":
-				e, err := runner.Run(runner.Config{N: n, Seed: 7, Workers: 1},
-					mc.BernoulliSampler(p, T), mc.SettlementViolationVerdict(m))
-				return mustEst(b, e, err)
 			}
-			return runFused(b, n, T, mc.StreamBernoulliSampler(p), mc.BlockBernoulliMaskSampler(p),
+			return runBlocks(b, n, T, mc.BlockBernoulliMaskSampler(p),
 				func() runner.StreamVerdict { return mc.NewSettlementStreamVerdict(m, T) })
 		}},
 		{"E5-CPViolation", func(b *testing.B) mc.Estimate {
 			const T, k, n = 400, 40, 2000
-			switch mode {
-			case "stream":
+			if mode == "stream" {
 				return mc.CPViolationPossible(p, T, k, n, 7, false, 1)
-			case "batch":
-				e, err := runner.Run(runner.Config{N: n, Seed: 7, Workers: 1},
-					mc.BernoulliSampler(p, T), mc.CPViolationVerdict(k, false))
-				return mustEst(b, e, err)
 			}
-			return runFused(b, n, T, mc.StreamBernoulliSampler(p), mc.BlockBernoulliSampler(p),
+			return runBlocks(b, n, T, mc.BlockBernoulliSampler(p),
 				func() runner.StreamVerdict { return mc.NewCPStreamVerdict(k, false) })
 		}},
 		{"E4-DeltaUnsettled", func(b *testing.B) mc.Estimate {
 			const s, k, tail, delta, n = 8, 60, 150, 3, 1000
 			T := s + int(float64(2*k+tail)/sp.ActiveRate()) + delta
-			switch mode {
-			case "stream":
+			if mode == "stream" {
 				e, err := mc.DeltaUnsettled(sp, delta, s, k, tail, n, 7, 1)
 				return mustEst(b, e, err)
-			case "batch":
-				e, err := runner.Run(runner.Config{N: n, Seed: 7, Workers: 1},
-					mc.ConditionedSemiSyncSampler(sp, s, T), mc.DeltaUnsettledVerdict(s, k, delta))
-				return mustEst(b, e, err)
 			}
-			return runFused(b, n, T,
-				mc.StreamConditionedSemiSyncSampler(sp, s), mc.BlockConditionedSemiSyncSampler(sp, s),
+			return runBlocks(b, n, T, mc.BlockConditionedSemiSyncSampler(sp, s),
 				func() runner.StreamVerdict {
 					v, err := mc.NewDeltaUnsettledStreamVerdict(s, k, delta, T)
 					if err != nil {
@@ -264,15 +232,9 @@ func BenchmarkRareSplit(b *testing.B) {
 // baselines and the CI perf gate track).
 func BenchmarkMCStream(b *testing.B) { benchMCPair(b, "stream") }
 
-// BenchmarkMCStreamBlock: the explicit block loop — pairs with
-// BenchmarkMCStreamScalar for the block-vs-scalar ablation.
+// BenchmarkMCStreamBlock: the explicit block loop, bit-identical to
+// BenchmarkMCStream.
 func BenchmarkMCStreamBlock(b *testing.B) { benchMCPair(b, "block") }
-
-// BenchmarkMCStreamScalar: the pre-block symbol-at-a-time fused loop.
-func BenchmarkMCStreamScalar(b *testing.B) { benchMCPair(b, "scalar") }
-
-// BenchmarkMCBatch: the slice-at-a-time oracle engine (committed baseline).
-func BenchmarkMCBatch(b *testing.B) { benchMCPair(b, "batch") }
 
 // BenchmarkDPCapped/BenchmarkDPNaive/BenchmarkDPPruned: ablations of the
 // settlement DP engine (DESIGN.md §6). Capped runs the banded lattice sweep
@@ -646,13 +608,14 @@ func oracleBenchStream(n int) []struct {
 // with a fresh DP build per query.
 func BenchmarkOracleServe(b *testing.B) {
 	stream := oracleBenchStream(4096)
+	ctx := context.Background()
 	b.Run("serial", func(b *testing.B) {
 		o := oracle.New(0)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			q := stream[i%len(stream)]
-			if _, err := o.SettlementFailure(q.alpha, q.ph, q.k); err != nil {
+			if _, err := o.SettlementFailureCtx(ctx, q.alpha, q.ph, q.k); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -666,7 +629,7 @@ func BenchmarkOracleServe(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
 				q := stream[int(next.Add(1)-1)%len(stream)]
-				if _, err := o.SettlementFailure(q.alpha, q.ph, q.k); err != nil {
+				if _, err := o.SettlementFailureCtx(ctx, q.alpha, q.ph, q.k); err != nil {
 					b.Error(err) // Fatal must not run off the main goroutine
 					return
 				}
@@ -685,7 +648,7 @@ func BenchmarkOracleServe(b *testing.B) {
 		tr := telemetry.NewTrace("")
 		root := tr.StartSpan("request", telemetry.SpanRef{})
 		defer root.End()
-		ctx := telemetry.WithTrace(context.Background(), tr)
+		ctx := telemetry.WithTrace(ctx, tr)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -732,9 +695,10 @@ func table1GridOracle(b *testing.B) *oracle.Oracle {
 	b.Helper()
 	table1GridOnce.Do(func() {
 		o := oracle.New(0)
+		ctx := context.Background()
 		for _, frac := range []float64{1.0, 0.9, 0.5, 0.25, 0.1, 0.01} {
 			for _, alpha := range []float64{0.10, 0.20, 0.25, 0.30, 0.40, 0.49} {
-				if _, err := o.SettlementCurve(alpha, frac*(1-alpha), 500); err != nil {
+				if _, err := o.SettlementCurveCtx(ctx, alpha, frac*(1-alpha), 500); err != nil {
 					panic(err)
 				}
 			}
@@ -780,6 +744,7 @@ func BenchmarkOracleRestartToHot(b *testing.B) {
 	if _, err := table1GridOracle(b).SaveSnapshotFile(faultfs.OS, path); err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -791,7 +756,7 @@ func BenchmarkOracleRestartToHot(b *testing.B) {
 		if stats.Damaged() || stats.Entries == 0 {
 			b.Fatalf("warm boot from clean snapshot reported %+v", stats)
 		}
-		if _, err := o.SettlementFailure(0.30, 0.5*(1-0.30), 500); err != nil {
+		if _, err := o.SettlementFailureCtx(ctx, 0.30, 0.5*(1-0.30), 500); err != nil {
 			b.Fatal(err)
 		}
 		if st := o.Stats(); st.Builds != 0 {

@@ -50,6 +50,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -625,6 +626,7 @@ func verifySamples(samples []sample) (verified, mismatches int, firstErr error) 
 		return 0, 0, nil
 	}
 	o := oracle.New(0)
+	ctx := context.Background()
 	fail := func(s sample, format string, args ...any) {
 		mismatches++
 		if firstErr == nil {
@@ -647,9 +649,9 @@ func verifySamples(samples []sample) (verified, mismatches int, firstErr error) 
 			var want float64
 			var err error
 			if s.spec.op == "cell" {
-				want, err = o.TableCell(s.spec.frac, s.spec.k, s.spec.alpha)
+				want, err = o.TableCellCtx(ctx, s.spec.frac, s.spec.k, s.spec.alpha)
 			} else {
-				want, err = o.SettlementFailure(s.spec.alpha, ph, s.spec.k)
+				want, err = o.SettlementFailureCtx(ctx, s.spec.alpha, ph, s.spec.k)
 			}
 			if err != nil {
 				fail(s, "local compute: %v", err)
@@ -664,7 +666,7 @@ func verifySamples(samples []sample) (verified, mismatches int, firstErr error) 
 				fail(s, "bad body: %v", err)
 				continue
 			}
-			want, err := o.SettlementCurve(s.spec.alpha, ph, s.spec.k)
+			want, err := o.SettlementCurveCtx(ctx, s.spec.alpha, ph, s.spec.k)
 			if err != nil {
 				fail(s, "local compute: %v", err)
 			} else if !slices.Equal(got.Curve, want) {
@@ -679,14 +681,14 @@ func verifySamples(samples []sample) (verified, mismatches int, firstErr error) 
 				fail(s, "bad body: %v", err)
 				continue
 			}
-			lo, hi, err := o.SettlementBracket(s.spec.alpha, ph, s.spec.k, s.spec.tau)
+			lo, hi, err := o.SettlementBracketCtx(ctx, s.spec.alpha, ph, s.spec.k, s.spec.tau)
 			if err != nil {
 				fail(s, "local compute: %v", err)
 			} else if math.Float64bits(got.Lower) != math.Float64bits(lo) || math.Float64bits(got.Upper) != math.Float64bits(hi) {
 				fail(s, "served [%v,%v], local [%v,%v]", got.Lower, got.Upper, lo, hi)
 			}
 		case "depth":
-			want, err := o.ConfirmationDepth(s.spec.alpha, ph, s.spec.target, s.spec.kmax)
+			want, err := o.ConfirmationDepthCtx(ctx, s.spec.alpha, ph, s.spec.target, s.spec.kmax)
 			if s.status == http.StatusUnprocessableEntity {
 				if !errors.Is(err, settlement.ErrTargetUnreachable) {
 					fail(s, "served 422 but local compute gave depth %d, err %v", want, err)

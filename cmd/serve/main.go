@@ -63,8 +63,8 @@
 //	GET  /healthz               liveness + cache gauge
 //	GET  /healthz/live          bare liveness probe
 //	GET  /healthz/ready         readiness (503 while booting/draining)
-//	GET  /metrics               Prometheus text exposition (with exemplars)
-//	GET  /debug/vars            expvar: cache, snapshot, and cluster stats
+//	GET  /metrics               Prometheus text exposition (with exemplars):
+//	                            cache, snapshot, cluster and HTTP counters
 //	GET  /debug/traces          flight recorder: recent trace summaries
 //	GET  /debug/traces?id=...   one recorded trace's full span tree
 //	GET  /debug/pprof/          profiling (only with -pprof)
@@ -147,7 +147,6 @@ func run(logger *slog.Logger) error {
 	bootG := reg.Gauge("serve_boot_to_ready_seconds", "Seconds from process start to first ready, warm boot included.")
 
 	o := oracle.New(*cache)
-	o.Publish("oracle")
 	o.Instrument(reg)
 	srv := oracle.NewServer(o, *workers)
 	srv.SetReady(false) // not ready until the warm boot (if any) finishes
@@ -205,7 +204,6 @@ func run(logger *slog.Logger) error {
 			Peers: list,
 			Logf:  logf,
 		})
-		cluster.Publish("cluster")
 		cluster.Instrument(reg)
 		handler = cluster.Handler()
 		logger.Info("replicated serving", "peers", len(list), "self", *self)

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -15,12 +16,13 @@ import (
 // decode yields.
 var pristineSnapshot = sync.OnceValues(func() ([]byte, []oracle.SnapshotEntry) {
 	o := oracle.New(8)
+	ctx := context.Background()
 	for _, pt := range []struct{ alpha, frac float64 }{{0.30, 0.5}, {0.1234, 0.9}} {
 		ph := pt.frac * (1 - pt.alpha)
-		if _, err := o.SettlementCurve(pt.alpha, ph, 40); err != nil {
+		if _, err := o.SettlementCurveCtx(ctx, pt.alpha, ph, 40); err != nil {
 			panic(err)
 		}
-		if _, _, err := o.SettlementBracket(pt.alpha, ph, 40, 1e-30); err != nil {
+		if _, _, err := o.SettlementBracketCtx(ctx, pt.alpha, ph, 40, 1e-30); err != nil {
 			panic(err)
 		}
 	}

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -48,17 +49,18 @@ func oracleInvariants() []Invariant {
 }
 
 func checkOracleHotEqualsCold(t *testing.T, r *rand.Rand) {
+	ctx := context.Background()
 	for trial := 0; trial < 3; trial++ {
 		p := randParams(t, r)
 		alpha, ph := p.PA(), p.Ph
 		k := 30 + r.Intn(30)
 
 		o := oracle.New(4)
-		cold, err := o.SettlementCurve(alpha, ph, k)
+		cold, err := o.SettlementCurveCtx(ctx, alpha, ph, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hot, err := o.SettlementCurve(alpha, ph, k)
+		hot, err := o.SettlementCurveCtx(ctx, alpha, ph, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +82,7 @@ func checkOracleHotEqualsCold(t *testing.T, r *rand.Rand) {
 			t.Fatalf("trial %d: oracle curve differs from direct settlement computer", trial)
 		}
 
-		pf, err := o.SettlementFailure(alpha, ph, k)
+		pf, err := o.SettlementFailureCtx(ctx, alpha, ph, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,17 +98,18 @@ func checkOracleHotEqualsCold(t *testing.T, r *rand.Rand) {
 }
 
 func checkSnapshotRoundtripIdentity(t *testing.T, r *rand.Rand) {
+	ctx := context.Background()
 	for trial := 0; trial < 3; trial++ {
 		p := randParams(t, r)
 		alpha, ph := p.PA(), p.Ph
 		k := 20 + r.Intn(40)
 
 		live := oracle.New(8)
-		curve, err := live.SettlementCurve(alpha, ph, k)
+		curve, err := live.SettlementCurveCtx(ctx, alpha, ph, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lo, hi, err := live.SettlementBracket(alpha, ph, k, 1e-30)
+		lo, hi, err := live.SettlementBracketCtx(ctx, alpha, ph, k, 1e-30)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,14 +127,14 @@ func checkSnapshotRoundtripIdentity(t *testing.T, r *rand.Rand) {
 			t.Fatalf("trial %d: clean snapshot reported damage: %+v", trial, stats)
 		}
 
-		rcurve, err := restored.SettlementCurve(alpha, ph, k)
+		rcurve, err := restored.SettlementCurveCtx(ctx, alpha, ph, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(curve, rcurve) {
 			t.Fatalf("trial %d: restored curve differs from live curve", trial)
 		}
-		rlo, rhi, err := restored.SettlementBracket(alpha, ph, k, 1e-30)
+		rlo, rhi, err := restored.SettlementBracketCtx(ctx, alpha, ph, k, 1e-30)
 		if err != nil {
 			t.Fatal(err)
 		}

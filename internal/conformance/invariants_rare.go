@@ -14,9 +14,11 @@ func rareInvariants() []Invariant {
 	return []Invariant{
 		{
 			Name: "rare-unit-tilt-equals-plain-mc",
-			Statement: "The θ = 0 tilted estimator draws the same symbols and " +
-				"returns the same point estimate as plain streaming Monte-Carlo " +
-				"bit for bit, with every weight exactly 1.",
+			Statement: "The θ = 0 tilted estimator returns the same point " +
+				"estimate as plain streaming Monte-Carlo bit for bit, and every " +
+				"one of its samples has weight exactly 1 and the hit the slice " +
+				"verdict gives on the symbols the plain sampler decodes from " +
+				"that sample's own stream.",
 			Anchor: "rare.TiltSync θ = 0 short-circuit + rare.TiltedVerdict (internal/rare/tilt.go)",
 			Check:  checkUnitTiltEqualsPlainMC,
 		},
@@ -35,19 +37,16 @@ func checkUnitTiltEqualsPlainMC(t *testing.T, r *rand.Rand) {
 	p := randParams(t, r)
 	m, k := 3+r.Intn(12), 10+r.Intn(30)
 	T := m + k
-	seed := r.Int63()
-	cfg := runner.Config{N: 4000, Seed: seed, BatchSize: 128}
+	cfg := runner.Config{N: 4000, Seed: r.Int63(), BatchSize: 128}
 
 	ts := rare.TiltSync(p, 0)
-	weighted, err := runner.RunStreamWeighted(cfg, T, ts.Sampler(m),
-		func() runner.WeightedStreamVerdict {
-			return &rare.TiltedVerdict{Inner: mc.NewSettlementStreamVerdict(m, T), Skip: m}
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := runner.RunStream(cfg, T, mc.StreamBernoulliSampler(p),
-		func() runner.StreamVerdict { return mc.NewSettlementStreamVerdict(m, T) })
+	weighted, out := serialWeightedBlocks(t, cfg, T, ts.BlockSampler(m), func() runner.WeightedBlockVerdict {
+		return &rare.TiltedVerdict{Inner: mc.NewSettlementStreamVerdict(m, T), Skip: m}
+	})
+	checkPerSample(t, "unit-tilt", cfg, weighted.Hits, out,
+		sliceRef(t, T, mc.StreamBernoulliSampler(p), mc.SettlementViolationVerdict(m)))
+	plain, err := runner.RunStreamBlocks(cfg, T, mc.BlockBernoulliMaskSampler(p),
+		func() runner.BlockVerdict { return mc.NewSettlementStreamVerdict(m, T).(runner.BlockVerdict) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // with the samplers and FeedBlock implementations below. Every FeedBlock
 // is exactly equivalent to feeding the block's symbols through Feed one at
 // a time — the runner-block-scalar-identity conformance invariant pins
-// block and scalar Estimates bit-identical — but consumes the packed
+// every sample's block outcome to the scalar one — but consumes the packed
 // category masks where it can: the E3 settlement prefix advances the reach
 // via margin.StepRhoBits (eight byte-table lookups per 64 symbols), the
 // E1/E2 Catalan scanners ride catalan.Stream.FeedBlock's branch-free walk,

@@ -5,22 +5,20 @@
 // DESIGN.md experiment index (E1–E7) and feeds EXPERIMENTS.md.
 //
 // Every experiment exists in two equivalent forms. The production form is
-// streaming: the exported experiment functions pair a runner.StreamVerdict
-// (stream.go) with a raw-uint64 threshold sampler and delegate to
-// runner.RunStream — a fused sample–judge loop with zero steady-state
-// allocations and early exit. The slice-at-a-time form (the
-// runner.Verdict constructors below, plugged into runner.Run) is kept as
-// the reference oracle: equivalence tests pin each streaming verdict to
-// agree with its oracle on every string. For a fixed (seed, n) every
-// Estimate is bit-identical at every worker count; workers = 0 uses all
-// CPUs and workers = 1 is the serial path. The streaming sample stream
-// differs from the pre-streaming rand.Float64 stream, so estimates across
-// that engine change are equal only statistically, not bitwise.
+// streaming: the exported experiment functions pair a block verdict
+// (stream.go, block.go) with a block threshold sampler and delegate to
+// runner.RunStreamBlocks — a fused sample–judge loop that generates 64
+// symbols at a time, with zero steady-state allocations and early exit.
+// The slice-at-a-time form (the runner.Verdict constructors below) is
+// kept as the reference: equivalence tests pin each streaming verdict to
+// agree with it on every string, and the runner-block-scalar-identity
+// conformance entry pins every sample of a block run to it. For a fixed
+// (seed, n) every Estimate is bit-identical at every worker count;
+// workers = 0 uses all CPUs and workers = 1 is the serial path.
 package mc
 
 import (
 	"fmt"
-	"math/rand"
 
 	"multihonest/internal/catalan"
 	"multihonest/internal/charstring"
@@ -35,27 +33,10 @@ import (
 // runner.Estimate re-exported so downstream code can stay on the mc API.
 type Estimate = runner.Estimate
 
-// mustRun executes a job whose verdict cannot fail; any error therefore
-// indicates a programming bug in this package and panics.
-func mustRun(cfg runner.Config, sample runner.Sampler, verdict runner.Verdict) Estimate {
-	e, err := runner.Run(cfg, sample, verdict)
-	if err != nil {
-		panic(fmt.Sprintf("mc: infallible experiment failed: %v", err))
-	}
-	return e
-}
-
-// BernoulliSampler draws length-T strings under the (ǫ, ph)-Bernoulli law —
-// the sampler of the slice-based oracle path (the streaming path uses
-// StreamBernoulliSampler).
-func BernoulliSampler(p charstring.Params, T int) runner.Sampler {
-	return func(rng *rand.Rand) charstring.String { return p.Sample(rng, T) }
-}
-
 // NoUniquelyHonestCatalanVerdict reports the Bound 1 event on a sampled
 // string: the k-slot window starting at slot s contains no uniquely honest
-// Catalan slot of the whole string. It is the slice-based oracle of the
-// streaming verdict used by NoUniquelyHonestCatalan.
+// Catalan slot of the whole string. It is the slice-based reference of
+// the streaming verdict used by NoUniquelyHonestCatalan.
 func NoUniquelyHonestCatalanVerdict(s, k int) runner.Verdict {
 	return func(w charstring.String) (bool, error) {
 		sc := catalan.Analyze(w)
@@ -142,19 +123,6 @@ func CPViolationPossible(p charstring.Params, T, k, n int, seed int64, consisten
 		func() *cpStream { return newCPStream(k, consistentTies) })
 }
 
-// ConditionedSemiSyncSampler draws length-T semi-synchronous strings
-// conditioned on slot s having a leader: an empty slot s is promoted to
-// uniquely honest (settlement of an empty slot is vacuous).
-func ConditionedSemiSyncSampler(sp charstring.SemiSyncParams, s, T int) runner.Sampler {
-	return func(rng *rand.Rand) charstring.String {
-		w := sp.Sample(rng, T)
-		if w[s-1] == charstring.Empty {
-			w[s-1] = charstring.UniqueHonest
-		}
-		return w
-	}
-}
-
 // DeltaUnsettledVerdict reports the Theorem 7 event: slot s of a
 // semi-synchronous execution lacks the Lemma 2 (k, Δ)-settlement
 // certificate.
@@ -166,7 +134,7 @@ func DeltaUnsettledVerdict(s, k, delta int) runner.Verdict {
 }
 
 // DeltaUnsettled estimates the Theorem 7 event (experiment E4). Sampling
-// conditions on slot s having a leader via ConditionedSemiSyncSampler.
+// conditions on slot s having a leader via BlockConditionedSemiSyncSampler.
 func DeltaUnsettled(sp charstring.SemiSyncParams, delta, s, k, tail, n int, seed int64, workers int) (Estimate, error) {
 	// The certificate needs a window of k *reduced* (non-empty) slots plus
 	// slack; at activity rate f that takes about k/f real slots.

@@ -14,21 +14,26 @@ import (
 // verdicts in mc.go one-for-one; the slice forms stay exported as the
 // reference oracles (TestStreamVerdictEquivalence pins the two to agree on
 // every string). The exported experiment functions run on these streaming
-// forms via runner.RunStream: per-worker reusable scratch, zero steady-state
-// allocations, raw-uint64 threshold sampling, and early exit the moment a
-// verdict is decided — a sample that decides early stops drawing symbols.
+// forms via runner.RunStreamBlocks (block.go adds the FeedBlock paths):
+// per-worker reusable scratch, zero steady-state allocations, raw-uint64
+// threshold sampling, and early exit the moment a verdict is decided.
+//
+// The symbol-at-a-time samplers below are the scalar decoders of the
+// block samplers: they turn a sample's raw stream into the symbols its
+// block verdict must agree with.
 
-// StreamBernoulliSampler is the raw-uint64 threshold form of
-// BernoulliSampler: one splitmix64 draw and at most two compares per
-// symbol under the (ǫ, ph)-Bernoulli law.
+// StreamBernoulliSampler is the raw-uint64 threshold sampler of the
+// (ǫ, ph)-Bernoulli law: one splitmix64 draw and at most two compares per
+// symbol.
 func StreamBernoulliSampler(p charstring.Params) runner.SymbolSampler {
 	th := p.Thresholds()
 	return func(rng *runner.SM64, _ int) charstring.Symbol { return th.Symbol(rng.Uint64()) }
 }
 
-// StreamConditionedSemiSyncSampler is the raw-uint64 form of
-// ConditionedSemiSyncSampler: semi-synchronous threshold sampling with an
-// empty slot s promoted to uniquely honest.
+// StreamConditionedSemiSyncSampler is semi-synchronous raw-uint64
+// threshold sampling conditioned on slot s having a leader: an empty slot
+// s is promoted to uniquely honest (settlement of an empty slot is
+// vacuous).
 func StreamConditionedSemiSyncSampler(sp charstring.SemiSyncParams, s int) runner.SymbolSampler {
 	th := sp.Thresholds()
 	return func(rng *runner.SM64, slot int) charstring.Symbol {

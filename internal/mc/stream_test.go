@@ -9,8 +9,8 @@ import (
 	"multihonest/internal/runner"
 )
 
-// feedAll drives a streaming verdict over a whole string exactly as
-// runner.RunStream does: Reset, Feed until decided or exhausted, Finish.
+// feedAll drives a streaming verdict over a whole string symbol by
+// symbol: Reset, Feed until decided or exhausted, Finish.
 func feedAll(v runner.StreamVerdict, w charstring.String) (bool, error) {
 	v.Reset()
 	for _, sym := range w {
@@ -22,7 +22,7 @@ func feedAll(v runner.StreamVerdict, w charstring.String) (bool, error) {
 }
 
 // TestStreamVerdictEquivalence pins every streaming verdict to its
-// slice-based oracle on randomized strings — synchronous for E1/E2/E3/E5,
+// slice-based reference on randomized strings — synchronous for E1/E2/E3/E5,
 // semi-synchronous (leader-conditioned) for E4 — with shared scratch
 // reused across strings.
 func TestStreamVerdictEquivalence(t *testing.T) {
@@ -140,18 +140,32 @@ func TestStreamVerdictEquivalence(t *testing.T) {
 	})
 }
 
-// batchEstimate runs an experiment on the slice-based oracle path — the
-// committed pre-streaming engine (runner.Run over BernoulliSampler).
-func batchEstimate(p charstring.Params, T, n int, seed int64, verdict runner.Verdict) Estimate {
-	e, err := runner.Run(runner.Config{N: n, Seed: seed, Workers: 0}, BernoulliSampler(p, T), verdict)
-	if err != nil {
-		panic(err)
+// sliceEstimate runs an experiment on the slice-based reference path:
+// n whole strings drawn serially by draw from one math/rand stream, each
+// judged by the slice verdict.
+func sliceEstimate(t *testing.T, n int, seed int64, draw func(*rand.Rand) charstring.String, verdict runner.Verdict) Estimate {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	hits := 0
+	for i := 0; i < n; i++ {
+		ok, err := verdict(draw(rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			hits++
+		}
 	}
-	return e
+	return runner.NewEstimate(hits, n)
+}
+
+// batchEstimate is sliceEstimate over T-slot (ǫ, ph)-Bernoulli strings.
+func batchEstimate(t *testing.T, p charstring.Params, T, n int, seed int64, verdict runner.Verdict) Estimate {
+	return sliceEstimate(t, n, seed, func(rng *rand.Rand) charstring.String { return p.Sample(rng, T) }, verdict)
 }
 
 // TestStreamRNGStatisticalEquivalence pins the raw-uint64 splitmix64
-// sampling against the rand.Float64 batch path: the two draw different
+// sampling against rand.Float64 slice sampling: the two draw different
 // (equally valid) streams from the same law, so their estimates must agree
 // within Monte-Carlo error on every experiment. 3·SE at n = 20000 keeps
 // the deterministic check far from flaky while still catching any
@@ -167,9 +181,9 @@ func TestStreamRNGStatisticalEquivalence(t *testing.T) {
 		const s, k, tail = 25, 30, 120
 		T := s - 1 + k + tail
 		neu := NoUniquelyHonestCatalan(p, s, k, tail, n, 301, 0)
-		old := batchEstimate(p, T, n, 301, NoUniquelyHonestCatalanVerdict(s, k))
+		old := batchEstimate(t, p, T, n, 301, NoUniquelyHonestCatalanVerdict(s, k))
 		if d := math.Abs(neu.P - old.P); d > tol(neu, old) {
-			t.Errorf("E1: stream %.5f vs batch %.5f differ by %.5f > %.5f", neu.P, old.P, d, tol(neu, old))
+			t.Errorf("E1: stream %.5f vs slice %.5f differ by %.5f > %.5f", neu.P, old.P, d, tol(neu, old))
 		}
 	}
 	{
@@ -177,25 +191,25 @@ func TestStreamRNGStatisticalEquivalence(t *testing.T) {
 		bp := charstring.MustParams(0.4, 0)
 		T := s - 1 + k + tail
 		neu := NoConsecutiveCatalan(0.4, s, k, tail, n, 302, 0)
-		old := batchEstimate(bp, T, n, 302, NoConsecutiveCatalanVerdict(s, k))
+		old := batchEstimate(t, bp, T, n, 302, NoConsecutiveCatalanVerdict(s, k))
 		if d := math.Abs(neu.P - old.P); d > tol(neu, old) {
-			t.Errorf("E2: stream %.5f vs batch %.5f differ by %.5f > %.5f", neu.P, old.P, d, tol(neu, old))
+			t.Errorf("E2: stream %.5f vs slice %.5f differ by %.5f > %.5f", neu.P, old.P, d, tol(neu, old))
 		}
 	}
 	{
 		const m, k = 120, 30
 		neu := SettlementViolation(p, m, k, n, 303, 0)
-		old := batchEstimate(p, m+k, n, 303, SettlementViolationVerdict(m))
+		old := batchEstimate(t, p, m+k, n, 303, SettlementViolationVerdict(m))
 		if d := math.Abs(neu.P - old.P); d > tol(neu, old) {
-			t.Errorf("E3: stream %.5f vs batch %.5f differ by %.5f > %.5f", neu.P, old.P, d, tol(neu, old))
+			t.Errorf("E3: stream %.5f vs slice %.5f differ by %.5f > %.5f", neu.P, old.P, d, tol(neu, old))
 		}
 	}
 	{
 		const T, k = 200, 30
 		neu := CPViolationPossible(p, T, k, n, 304, false, 0)
-		old := batchEstimate(p, T, n, 304, CPViolationVerdict(k, false))
+		old := batchEstimate(t, p, T, n, 304, CPViolationVerdict(k, false))
 		if d := math.Abs(neu.P - old.P); d > tol(neu, old) {
-			t.Errorf("E5: stream %.5f vs batch %.5f differ by %.5f > %.5f", neu.P, old.P, d, tol(neu, old))
+			t.Errorf("E5: stream %.5f vs slice %.5f differ by %.5f > %.5f", neu.P, old.P, d, tol(neu, old))
 		}
 	}
 	{
@@ -210,13 +224,15 @@ func TestStreamRNGStatisticalEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		old, err := runner.Run(runner.Config{N: n, Seed: 305, Workers: 0},
-			ConditionedSemiSyncSampler(sp, s, T), DeltaUnsettledVerdict(s, k, delta))
-		if err != nil {
-			t.Fatal(err)
-		}
+		old := sliceEstimate(t, n, 305, func(rng *rand.Rand) charstring.String {
+			w := sp.Sample(rng, T)
+			if w[s-1] == charstring.Empty {
+				w[s-1] = charstring.UniqueHonest
+			}
+			return w
+		}, DeltaUnsettledVerdict(s, k, delta))
 		if d := math.Abs(neu.P - old.P); d > tol(neu, old) {
-			t.Errorf("E4: stream %.5f vs batch %.5f differ by %.5f > %.5f", neu.P, old.P, d, tol(neu, old))
+			t.Errorf("E4: stream %.5f vs slice %.5f differ by %.5f > %.5f", neu.P, old.P, d, tol(neu, old))
 		}
 	}
 }

@@ -87,25 +87,18 @@ func (q *BatchQuery) tau() float64 {
 // response around 10 MB.
 const MaxBatchCurvePoints = 1 << 19
 
-// Batch answers a multi-query request with curve reuse planned up front:
-// queries are grouped by canonical chain key, each group's curve is locked
-// once and extended once to the group's deepest horizon, and the
-// independent groups execute on a runner.ForEach pool (workers ≤ 0 selects
-// all CPUs). Results arrive in request order; per-query failures are
-// reported in their slot without failing the batch. A batch whose curve
-// queries together exceed MaxBatchCurvePoints is rejected whole.
-func (o *Oracle) Batch(queries []BatchQuery, workers int) ([]BatchResult, BatchPlan, error) {
-	return o.batch(nil, queries, workers)
-}
-
-// BatchCtx is Batch with per-group lock waits and DP work charged to the
-// request trace carried by ctx; group workers share the one trace (phase
+// BatchCtx answers a multi-query request with curve reuse planned up
+// front: queries are grouped by canonical chain key, each group's curve
+// is locked once and extended once to the group's deepest horizon, and
+// the independent groups execute on a runner.ForEach pool (workers ≤ 0
+// selects all CPUs). Results arrive in request order; per-query failures
+// are reported in their slot without failing the batch. A batch whose
+// curve queries together exceed MaxBatchCurvePoints is rejected whole.
+// Per-group lock waits and DP work are recorded as spans of the request
+// trace carried by ctx; group workers share the one trace (span
 // recording is atomic).
 func (o *Oracle) BatchCtx(ctx context.Context, queries []BatchQuery, workers int) ([]BatchResult, BatchPlan, error) {
-	return o.batch(telemetry.TraceFrom(ctx), queries, workers)
-}
-
-func (o *Oracle) batch(tr *telemetry.Trace, queries []BatchQuery, workers int) ([]BatchResult, BatchPlan, error) {
+	tr := telemetry.TraceFrom(ctx)
 	o.batchQ.Add(1)
 	points := 0
 	for i := range queries {

@@ -45,7 +45,7 @@ func TestOracleChurnRebuildsByteIdentical(t *testing.T) {
 	lookups := 0
 	query := func(i int) []float64 {
 		t.Helper()
-		curve, err := o.SettlementCurve(points[i].alpha, points[i].ph, k)
+		curve, err := o.SettlementCurveCtx(ctx, points[i].alpha, points[i].ph, k)
 		if err != nil {
 			t.Fatal(err)
 		}

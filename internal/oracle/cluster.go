@@ -3,7 +3,6 @@ package oracle
 import (
 	"bytes"
 	"context"
-	"expvar"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -57,15 +56,20 @@ type Cluster struct {
 	rng      *rand.Rand
 	breakers map[string]*breaker
 
-	forwards   atomic.Int64 // queries owned by a peer
-	retries    atomic.Int64 // extra forward attempts
-	hedges     atomic.Int64 // local computes raced against a slow owner
+	// perPeer holds each other replica's forwarding counters. The peer
+	// set is fixed by NewCluster, so the map is never written afterwards
+	// and is read without a lock; Stats sums it and Instrument exports it
+	// per peer.
+	perPeer    map[string]*peerCounters
 	fallbacks  atomic.Int64 // owner unreachable; answered locally
 	loopServes atomic.Int64 // forwarded requests answered locally
+}
 
-	// met mirrors the counters above into an optional telemetry registry;
-	// its zero value is inert (see Instrument in metrics.go).
-	met clusterMetrics
+// peerCounters are the forwarding counters of one peer replica.
+type peerCounters struct {
+	forwards atomic.Int64 // queries it owns, forwarded to it
+	retries  atomic.Int64 // extra forward attempts to it
+	hedges   atomic.Int64 // local computes raced against it
 }
 
 // ClusterConfig configures a Cluster; zero fields take the defaults
@@ -158,9 +162,11 @@ func NewCluster(srv *Server, cfg ClusterConfig) *Cluster {
 		logf:        cfg.Logf,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		breakers:    make(map[string]*breaker),
+		perPeer:     make(map[string]*peerCounters),
 	}
 	for _, p := range c.peers {
 		if p != c.self {
+			c.perPeer[p] = &peerCounters{}
 			c.breakers[p] = &breaker{
 				threshold: cfg.BreakerThreshold,
 				cooldown:  cfg.BreakerCooldown,
@@ -184,16 +190,19 @@ type ClusterStats struct {
 	BreakerStates  map[string]string `json:"breaker_states,omitempty"`
 }
 
-// Stats snapshots the forwarding counters and breaker states.
+// Stats snapshots the forwarding counters, summed over peers, and the
+// breaker states.
 func (c *Cluster) Stats() ClusterStats {
 	st := ClusterStats{
 		Self:           c.self,
 		Peers:          len(c.peers),
-		Forwards:       c.forwards.Load(),
-		ForwardRetries: c.retries.Load(),
-		Hedges:         c.hedges.Load(),
 		LocalFallbacks: c.fallbacks.Load(),
 		LoopServes:     c.loopServes.Load(),
+	}
+	for _, pc := range c.perPeer {
+		st.Forwards += pc.forwards.Load()
+		st.ForwardRetries += pc.retries.Load()
+		st.Hedges += pc.hedges.Load()
 	}
 	if len(c.breakers) > 0 {
 		st.BreakerStates = make(map[string]string, len(c.breakers))
@@ -204,12 +213,6 @@ func (c *Cluster) Stats() ClusterStats {
 		c.mu.Unlock()
 	}
 	return st
-}
-
-// Publish registers the cluster stats as an expvar variable (names are
-// process-global; call once per process).
-func (c *Cluster) Publish(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return c.Stats() }))
 }
 
 // Handler returns the replicated route table: the Server's routes with
@@ -226,7 +229,6 @@ func (c *Cluster) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// Already hopped once: answer here regardless of ownership, so a
 		// disagreeing peer map cannot loop.
 		c.loopServes.Add(1)
-		c.met.loops.Inc()
 		c.local.ServeHTTP(w, r)
 		return
 	}
@@ -235,8 +237,7 @@ func (c *Cluster) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		c.local.ServeHTTP(w, r)
 		return
 	}
-	c.forwards.Add(1)
-	c.met.forwards[owner].Inc()
+	c.perPeer[owner].forwards.Add(1)
 	c.forwardOrHedge(w, r, owner)
 }
 
@@ -316,7 +317,6 @@ func (c *Cluster) forwardOrHedge(w http.ResponseWriter, r *http.Request, owner s
 	tr := telemetry.TraceFrom(r.Context())
 	fwdSpan := tr.StartSpan("forward", tr.Root())
 	fwdSpan.SetAttr("peer", owner)
-	fwdStart := time.Now()
 	ctx, cancel := context.WithTimeout(r.Context(), c.fwdTimeout)
 	defer cancel()
 
@@ -350,7 +350,6 @@ func (c *Cluster) forwardOrHedge(w http.ResponseWriter, r *http.Request, owner s
 		case br := <-fwdc:
 			if br != nil {
 				cancel() // drop a still-running hedge's budget
-				tr.Add(telemetry.PhaseForward, time.Since(fwdStart))
 				fwdSpan.SetAttr("winner", "peer")
 				fwdSpan.End()
 				writeBuffered(w, br)
@@ -359,7 +358,6 @@ func (c *Cluster) forwardOrHedge(w http.ResponseWriter, r *http.Request, owner s
 			// Forwarding exhausted. If a hedge is already computing, its
 			// answer is coming; otherwise compute here now.
 			c.fallbacks.Add(1)
-			c.met.fallbacks.Inc()
 			if !hedging {
 				fwdSpan.SetAttr("winner", "local_fallback")
 				fwdSpan.End()
@@ -369,8 +367,7 @@ func (c *Cluster) forwardOrHedge(w http.ResponseWriter, r *http.Request, owner s
 			fwdc = nil
 		case <-hedgeTimer:
 			hedging = true
-			c.hedges.Add(1)
-			c.met.hedges[owner].Inc()
+			c.perPeer[owner].hedges.Add(1)
 			tr.SetFlag(telemetry.FlagHedged)
 			hedgeTimer = nil
 			go func() {
@@ -414,8 +411,7 @@ func (c *Cluster) tryForward(ctx context.Context, r *http.Request, owner string,
 			return nil
 		}
 		if attempt > 0 {
-			c.retries.Add(1)
-			c.met.retries[owner].Inc()
+			c.perPeer[owner].retries.Add(1)
 			if !c.backoff(ctx, attempt) {
 				return nil
 			}

@@ -16,10 +16,11 @@ type oracleMetrics struct {
 // before the oracle begins serving queries: the handles are installed
 // with a plain write and read without synchronization afterwards.
 //
-// Every counter family — the per-op query counts and the cache
-// statistics — is exported as a func-backed series over the atomics the
-// oracle already maintains for Stats: the warm serve path pays no second
-// counter write, and the Prometheus view cannot drift from /debug/vars.
+// Every counter family — the per-op query counts, the cache statistics
+// and the snapshot counters — is exported as a func-backed series over
+// the atomics the oracle already maintains for Stats: the warm serve
+// path pays no second counter write, and /metrics cannot drift from
+// Stats.
 // Only the build/extend latency histograms record inline, and those sit
 // on the cold path by definition.
 func (o *Oracle) Instrument(reg *telemetry.Registry) {
@@ -45,6 +46,15 @@ func (o *Oracle) Instrument(reg *telemetry.Registry) {
 	reg.CounterFunc("oracle_coalesced_waits_total", "Queries that blocked on another goroutine's work on the same entry.", func() float64 {
 		return float64(o.coalesced.Load())
 	})
+	reg.CounterFunc("oracle_snapshot_saves_total", "Snapshots written (checkpoints and shutdown flushes).", func() float64 {
+		return float64(o.snapSaves.Load())
+	})
+	reg.CounterFunc("oracle_snapshot_loaded_total", "Cache entries restored from a snapshot at boot.", func() float64 {
+		return float64(o.snapLoaded.Load())
+	})
+	reg.CounterFunc("oracle_snapshot_quarantined_sections_total", "Snapshot sections rejected as corrupt while loading.", func() float64 {
+		return float64(o.snapQuarantined.Load())
+	})
 	reg.GaugeFunc("oracle_cache_entries", "Resident parameter points in the curve cache.", func() float64 {
 		o.mu.Lock()
 		n := len(o.entries)
@@ -56,38 +66,28 @@ func (o *Oracle) Instrument(reg *telemetry.Registry) {
 	})
 }
 
-// clusterMetrics holds the replication tier's optional telemetry
-// handles, resolved per peer at Instrument time so the forwarding path
-// never takes the registry lock. The zero value is inert: a lookup in a
-// nil map yields a nil handle, whose recording methods are no-ops.
-type clusterMetrics struct {
-	forwards, retries, hedges map[string]*telemetry.Counter
-	fallbacks, loops          *telemetry.Counter
-}
-
-// Instrument registers the cluster's metric families on reg and begins
-// recording into them. Call once, before the cluster starts serving.
-// Breaker state is exported per peer as 0 closed, 1 half-open, 2 open
-// (larger = less available), updated on every state transition.
+// Instrument registers the cluster's metric families on reg. Call once,
+// before the cluster starts serving. The forwarding counters are
+// func-backed series over the cluster's own atomics — per peer for
+// forwards, retries and hedges — so each event is counted once and
+// /metrics cannot drift from Stats. Breaker state is exported per peer
+// as 0 closed, 1 half-open, 2 open (larger = less available), updated
+// on every state transition.
 func (c *Cluster) Instrument(reg *telemetry.Registry) {
 	fw := reg.CounterVec("cluster_forwards_total", "Queries owned by a peer and forwarded to it.", "peer")
 	rt := reg.CounterVec("cluster_forward_retries_total", "Extra forward attempts after a failed one.", "peer")
 	hg := reg.CounterVec("cluster_hedges_total", "Local computes raced against a slow owner.", "peer")
 	bs := reg.GaugeVec("cluster_breaker_state", "Circuit breaker per peer: 0 closed, 1 half-open, 2 open.", "peer")
-	c.met = clusterMetrics{
-		forwards:  make(map[string]*telemetry.Counter),
-		retries:   make(map[string]*telemetry.Counter),
-		hedges:    make(map[string]*telemetry.Counter),
-		fallbacks: reg.Counter("cluster_local_fallbacks_total", "Owner unreachable; query answered locally."),
-		loops:     reg.Counter("cluster_loop_serves_total", "Forwarded requests answered locally (loop prevention)."),
-	}
-	for _, p := range c.peers {
-		if p == c.self {
-			continue
-		}
-		c.met.forwards[p] = fw.With(p)
-		c.met.retries[p] = rt.With(p)
-		c.met.hedges[p] = hg.With(p)
+	reg.CounterFunc("cluster_local_fallbacks_total", "Owner unreachable; query answered locally.", func() float64 {
+		return float64(c.fallbacks.Load())
+	})
+	reg.CounterFunc("cluster_loop_serves_total", "Forwarded requests answered locally (loop prevention).", func() float64 {
+		return float64(c.loopServes.Load())
+	})
+	for p, pc := range c.perPeer {
+		fw.Func(func() float64 { return float64(pc.forwards.Load()) }, p)
+		rt.Func(func() float64 { return float64(pc.retries.Load()) }, p)
+		hg.Func(func() float64 { return float64(pc.hedges.Load()) }, p)
 		if b := c.breakers[p]; b != nil {
 			b.stateG = bs.With(p) // registers the series at its closed (0) state
 		}

@@ -1,12 +1,18 @@
 package oracle
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"multihonest/internal/settlement"
 	"multihonest/internal/telemetry"
@@ -20,16 +26,16 @@ func TestInstrumentedOracleCounters(t *testing.T) {
 	reg := telemetry.New()
 	o.Instrument(reg)
 
-	if _, err := o.SettlementFailure(0.2, 0.4, 16); err != nil { // miss + cold build
+	if _, err := o.SettlementFailureCtx(ctx, 0.2, 0.4, 16); err != nil { // miss + cold build
 		t.Fatal(err)
 	}
-	if _, err := o.SettlementFailure(0.2, 0.4, 16); err != nil { // warm hit
+	if _, err := o.SettlementFailureCtx(ctx, 0.2, 0.4, 16); err != nil { // warm hit
 		t.Fatal(err)
 	}
-	if _, err := o.SettlementFailure(0.2, 0.4, 32); err != nil { // hit + extension
+	if _, err := o.SettlementFailureCtx(ctx, 0.2, 0.4, 32); err != nil { // hit + extension
 		t.Fatal(err)
 	}
-	if _, err := o.SettlementCurve(0.2, 0.4, 32); err != nil { // hit, already long enough
+	if _, err := o.SettlementCurveCtx(ctx, 0.2, 0.4, 32); err != nil { // hit, already long enough
 		t.Fatal(err)
 	}
 
@@ -70,7 +76,7 @@ func TestInstrumentedOracleCounters(t *testing.T) {
 func TestOracleWarmServeZeroAllocsInstrumented(t *testing.T) {
 	o := New(8)
 	o.Instrument(telemetry.New())
-	if _, err := o.SettlementFailure(0.2, 0.4, 64); err != nil {
+	if _, err := o.SettlementFailureCtx(ctx, 0.2, 0.4, 64); err != nil {
 		t.Fatal(err)
 	}
 	ctx := telemetry.WithTrace(context.Background(), telemetry.NewTrace(""))
@@ -84,16 +90,23 @@ func TestOracleWarmServeZeroAllocsInstrumented(t *testing.T) {
 	}
 }
 
-// TestTelemetryStatsConsistency drives an instrumented oracle through a
-// randomized concurrent workload and checks the two bookkeeping systems
-// — the legacy expvar Stats counters and the telemetry registry — agree
-// exactly on every shared quantity. The two are recorded at the same
-// call sites but through different mechanisms (atomic fields vs. metric
-// handles), so a drifting pair means an instrumentation bug, not load.
+// TestTelemetryStatsConsistency drives an instrumented oracle and
+// cluster through a damaged warm boot, a randomized concurrent workload,
+// failing forwards and a snapshot save, then checks that /metrics holds
+// every counter Stats and ClusterStats report, at exactly the same
+// value. Counters are func-backed series over the same atomics and the
+// latency histograms record at the same call sites, so any difference is
+// an instrumentation bug, not load.
 func TestTelemetryStatsConsistency(t *testing.T) {
 	o := New(4) // smaller than the point set, so evictions happen
 	reg := telemetry.New()
 	o.Instrument(reg)
+	c := failingCluster(t, o)
+	c.Instrument(reg)
+
+	// Warm boot from a snapshot with one damaged section: some entries
+	// load, at least one section is quarantined.
+	bootFromDamagedSnapshot(t, o)
 
 	points := []struct{ alpha, frac float64 }{
 		{0.05, 0.90}, {0.10, 1.00}, {0.15, 0.75}, {0.20, 0.50},
@@ -113,15 +126,15 @@ func TestTelemetryStatsConsistency(t *testing.T) {
 				var err error
 				switch rng.Intn(4) {
 				case 0:
-					_, err = o.SettlementFailure(pt.alpha, ph, k)
+					_, err = o.SettlementFailureCtx(ctx, pt.alpha, ph, k)
 				case 1:
-					_, err = o.SettlementCurve(pt.alpha, ph, k)
+					_, err = o.SettlementCurveCtx(ctx, pt.alpha, ph, k)
 				case 2:
-					_, _, err = o.SettlementBracket(pt.alpha, ph, k, 0)
+					_, _, err = o.SettlementBracketCtx(ctx, pt.alpha, ph, k, 0)
 				default:
 					// Unreachable targets are a legitimate outcome at
 					// slow-decay points; the query still counts.
-					if _, err = o.ConfirmationDepth(pt.alpha, ph, 1e-2, 256); errors.Is(err, settlement.ErrTargetUnreachable) {
+					if _, err = o.ConfirmationDepthCtx(ctx, pt.alpha, ph, 1e-2, 256); errors.Is(err, settlement.ErrTargetUnreachable) {
 						err = nil
 					}
 				}
@@ -133,6 +146,10 @@ func TestTelemetryStatsConsistency(t *testing.T) {
 		}(int64(w + 1))
 	}
 	wg.Wait()
+	driveFailingForwards(t, c)
+	if _, err := o.SaveSnapshotFile(nil, filepath.Join(t.TempDir(), "oracle.mhsnap")); err != nil {
+		t.Fatal(err)
+	}
 
 	st := o.Stats()
 	var b strings.Builder
@@ -152,14 +169,36 @@ func TestTelemetryStatsConsistency(t *testing.T) {
 		"oracle_extend_seconds_count":  st.Extends,
 		"oracle_resident_curve_bytes":  st.ResidentCurveBytes,
 		"oracle_cache_entries":         int64(st.Entries),
+
+		"oracle_snapshot_saves_total":                st.SnapshotSaves,
+		"oracle_snapshot_loaded_total":               st.SnapshotLoaded,
+		"oracle_snapshot_quarantined_sections_total": st.SnapshotBadSects,
 	}
 	for name, want := range checks {
 		if got, ok := sc.Value(name, nil); !ok || got != float64(want) {
 			t.Errorf("%s = %v (present=%v), Stats says %d", name, got, ok, want)
 		}
 	}
-	if st.Evictions == 0 {
-		t.Error("workload produced no evictions; consistency check under-exercised")
+	if st.Evictions == 0 || st.SnapshotSaves == 0 || st.SnapshotLoaded == 0 || st.SnapshotBadSects == 0 {
+		t.Errorf("workload left an oracle counter at zero; consistency check under-exercised: %+v", st)
+	}
+
+	cs := c.Stats()
+	sum := func(name string) float64 { return sc.SumFunc(name, func(map[string]string) bool { return true }) }
+	clusterChecks := map[string]int64{
+		"cluster_forwards_total":        cs.Forwards,
+		"cluster_forward_retries_total": cs.ForwardRetries,
+		"cluster_hedges_total":          cs.Hedges,
+		"cluster_local_fallbacks_total": cs.LocalFallbacks,
+		"cluster_loop_serves_total":     cs.LoopServes,
+	}
+	for name, want := range clusterChecks {
+		if want == 0 {
+			t.Errorf("%s: ClusterStats counter is zero; consistency check under-exercised", name)
+		}
+		if got := sum(name); got != float64(want) {
+			t.Errorf("%s = %v, ClusterStats says %d", name, got, want)
+		}
 	}
 	opChecks := map[string]int64{
 		"cell": st.CellQueries, "curve": st.CurveQueries,
@@ -184,7 +223,7 @@ func TestTelemetryStatsConsistency(t *testing.T) {
 func TestOracleWarmServeZeroAllocsRecorded(t *testing.T) {
 	o := New(8)
 	o.Instrument(telemetry.New())
-	if _, err := o.SettlementFailure(0.2, 0.4, 64); err != nil {
+	if _, err := o.SettlementFailureCtx(ctx, 0.2, 0.4, 64); err != nil {
 		t.Fatal(err)
 	}
 	rec := telemetry.NewRecorder(telemetry.RecorderConfig{Capacity: 64, SampleRate: 0.5})
@@ -249,5 +288,83 @@ func TestClusterInstrumentRegistersPerPeer(t *testing.T) {
 	}
 	if got, _ := sc.Value("cluster_breaker_state", map[string]string{"peer": "http://b:2"}); got != 2 {
 		t.Errorf("opened breaker gauge = %v, want 2", got)
+	}
+}
+
+// bootFromDamagedSnapshot loads into o a snapshot of a warm oracle with
+// one section's payload corrupted, so the load both installs entries and
+// quarantines a section.
+func bootFromDamagedSnapshot(t *testing.T, o *Oracle) {
+	t.Helper()
+	data := snapshotBytes(t, warmOracle(t, 20))
+	for pos := len(data) / 2; pos < len(data); pos++ {
+		mut := bytes.Clone(data)
+		mut[pos] ^= 0x10
+		stats, err := New(0).LoadSnapshot(bytes.NewReader(mut))
+		if err != nil || stats.Quarantined == 0 || stats.Entries == 0 {
+			continue
+		}
+		if stats, err = o.LoadSnapshot(bytes.NewReader(mut)); err != nil || stats.Quarantined == 0 || stats.Entries == 0 {
+			t.Fatalf("damaged warm boot: %+v, %v", stats, err)
+		}
+		return
+	}
+	t.Fatal("no single-byte flip both installs entries and quarantines a section")
+}
+
+// failingCluster fronts o with a two-replica cluster whose only peer
+// never answers. A forward of a k=20 query fails at once, so it is
+// retried and then answered by local fallback; any other forward hangs
+// until the hedged local compute wins and cancels it.
+func failingCluster(t *testing.T, o *Oracle) *Cluster {
+	t.Helper()
+	return NewCluster(NewServer(o, 1), ClusterConfig{
+		Self:  "http://self:1",
+		Peers: []string{"http://self:1", "http://peer:2"},
+		Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			if r.URL.Query().Get("k") != "20" {
+				<-r.Context().Done()
+			}
+			return nil, errors.New("peer down")
+		}),
+		HedgeAfter:       50 * time.Millisecond,
+		RetryBase:        time.Millisecond,
+		RetryCap:         time.Millisecond,
+		MaxAttempts:      2,
+		BreakerThreshold: 1 << 20,
+	})
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// driveFailingForwards sends c queries owned by its dead peer — k=20
+// ones end in local fallback, k=21 ones in a won hedge — plus
+// loop-marked ones it must answer locally.
+func driveFailingForwards(t *testing.T, c *Cluster) {
+	t.Helper()
+	sent := 0
+	for bp := 1000; bp < 1256 && sent < 2; bp++ {
+		alpha := float64(bp) / 1e4
+		probe := httptest.NewRequest("GET", fmt.Sprintf("/v1/cell?alpha=%g&frac=0.5&k=20", alpha), nil)
+		if key, ok := chainKeyOf(probe); !ok || c.owner(key) == c.self {
+			continue
+		}
+		for _, k := range []int{20, 21} {
+			url := fmt.Sprintf("/v1/cell?alpha=%g&frac=0.5&k=%d", alpha, k)
+			rec := httptest.NewRecorder()
+			c.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d", url, rec.Code)
+			}
+			loop := httptest.NewRequest("GET", url, nil)
+			loop.Header.Set(clusterForwardHeader, "http://peer:2")
+			c.ServeHTTP(httptest.NewRecorder(), loop)
+		}
+		sent++
+	}
+	if sent == 0 {
+		t.Fatal("no query hashed to the peer")
 	}
 }

@@ -37,7 +37,6 @@ package oracle
 import (
 	"container/list"
 	"context"
-	"expvar"
 	"fmt"
 	"math"
 	"sync"
@@ -124,8 +123,8 @@ type entry struct {
 	evicted atomic.Bool
 }
 
-// Stats is a point-in-time snapshot of the oracle's counters, also the
-// expvar document published by Publish.
+// Stats is a point-in-time snapshot of the oracle's counters; /metrics
+// exports the same atomics (see Instrument).
 type Stats struct {
 	Entries            int   `json:"entries"`
 	Hits               int64 `json:"hits"`
@@ -249,8 +248,7 @@ func (o *Oracle) lookup(alpha, ph, tau float64, tr *telemetry.Trace) (*entry, er
 // lockEntry takes the entry lock, counting the acquisition as a coalesced
 // wait when another goroutine already holds it (the waiter will reuse
 // whatever build or extension the holder completes). The blocked time is
-// charged to the request trace's coalesce_wait phase and recorded as a
-// coalesce_wait span under the request's root.
+// recorded as a coalesce_wait span under the request's root.
 func (o *Oracle) lockEntry(e *entry, tr *telemetry.Trace) {
 	if e.mu.TryLock() {
 		return
@@ -258,9 +256,7 @@ func (o *Oracle) lockEntry(e *entry, tr *telemetry.Trace) {
 	o.coalesced.Add(1)
 	start := time.Now()
 	e.mu.Lock()
-	blocked := time.Since(start)
-	tr.Add(telemetry.PhaseCoalesceWait, blocked)
-	tr.AddSpan("coalesce_wait", tr.Root(), start, blocked)
+	tr.AddSpan("coalesce_wait", tr.Root(), start, time.Since(start))
 }
 
 // accountLocked refreshes the entry's resident-byte contribution after a
@@ -337,10 +333,10 @@ func (o *Oracle) upperLocked(e *entry, cap, k int, tr *telemetry.Trace) (*lattic
 // recordWork classifies finished DP work on entry e: prev == 0 was a
 // cold build, anything else an incremental extension of prev → k. The
 // duration lands in the matching latency histogram (with an exemplar
-// linking the bucket to this trace), trace phase, and a build/extend
-// span under the request's root carrying the canonical key and the
-// number of lattice steps computed. DP work is inherently a cold path,
-// so the span's key attribute may allocate.
+// linking the bucket to this trace) and a build/extend span under the
+// request's root carrying the canonical key and the number of lattice
+// steps computed. DP work is inherently a cold path, so the span's key
+// attribute may allocate.
 func (o *Oracle) recordWork(e *entry, prev, k int, start time.Time, tr *telemetry.Trace) {
 	d := time.Since(start)
 	name, trID := "extend", ""
@@ -352,12 +348,10 @@ func (o *Oracle) recordWork(e *entry, prev, k int, start time.Time, tr *telemetr
 		o.builds.Add(1)
 		o.buildNS.Add(int64(d))
 		o.met.build.ObserveWithExemplar(d.Seconds(), trID)
-		tr.Add(telemetry.PhaseBuild, d)
 	} else {
 		o.extends.Add(1)
 		o.extendNS.Add(int64(d))
 		o.met.extend.ObserveWithExemplar(d.Seconds(), trID)
-		tr.Add(telemetry.PhaseExtend, d)
 	}
 	if sp := tr.AddSpan(name, tr.Root(), start, d); sp.Active() {
 		sp.SetAttr("key", fmt.Sprintf("%d/%d", e.key.AlphaBP, e.key.FracBP))
@@ -373,24 +367,16 @@ func validHorizon(k int) error {
 	return nil
 }
 
-// SettlementCurve returns the exact violation probability for every
+// SettlementCurveCtx returns the exact violation probability for every
 // horizon 1..k at parameter point (α, ph) — core.Analyzer.SettlementCurve
-// served from the cache.
-func (o *Oracle) SettlementCurve(alpha, ph float64, k int) ([]float64, error) {
-	return o.settlementCurve(nil, alpha, ph, k)
-}
-
-// SettlementCurveCtx is SettlementCurve with the DP and lock-wait time
-// charged to the request trace carried by ctx (if any).
+// served from the cache. DP and lock-wait time are recorded as spans of
+// the request trace carried by ctx (if any).
 func (o *Oracle) SettlementCurveCtx(ctx context.Context, alpha, ph float64, k int) ([]float64, error) {
-	return o.settlementCurve(telemetry.TraceFrom(ctx), alpha, ph, k)
-}
-
-func (o *Oracle) settlementCurve(tr *telemetry.Trace, alpha, ph float64, k int) ([]float64, error) {
 	o.curveQ.Add(1)
 	if err := validHorizon(k); err != nil {
 		return nil, err
 	}
+	tr := telemetry.TraceFrom(ctx)
 	e, err := o.lookup(alpha, ph, 0, tr)
 	if err != nil {
 		return nil, err
@@ -403,22 +389,15 @@ func (o *Oracle) settlementCurve(tr *telemetry.Trace, alpha, ph float64, k int) 
 	return e.curve.ValuesUpTo(k), nil
 }
 
-// SettlementFailure returns the exact violation probability at horizon k —
-// the Table 1 quantity, served from the cache.
-func (o *Oracle) SettlementFailure(alpha, ph float64, k int) (float64, error) {
-	return o.settlementFailure(nil, alpha, ph, k)
-}
-
-// SettlementFailureCtx is SettlementFailure traced through ctx.
+// SettlementFailureCtx returns the exact violation probability at
+// horizon k — the Table 1 quantity, served from the cache and traced
+// through ctx.
 func (o *Oracle) SettlementFailureCtx(ctx context.Context, alpha, ph float64, k int) (float64, error) {
-	return o.settlementFailure(telemetry.TraceFrom(ctx), alpha, ph, k)
-}
-
-func (o *Oracle) settlementFailure(tr *telemetry.Trace, alpha, ph float64, k int) (float64, error) {
 	o.cellQ.Add(1)
 	if err := validHorizon(k); err != nil {
 		return 0, err
 	}
+	tr := telemetry.TraceFrom(ctx)
 	e, err := o.lookup(alpha, ph, 0, tr)
 	if err != nil {
 		return 0, err
@@ -431,42 +410,26 @@ func (o *Oracle) settlementFailure(tr *telemetry.Trace, alpha, ph float64, k int
 	return e.curve.Lower(k), nil
 }
 
-// TableCell answers a Table-1 cell query in the table's native
-// coordinates: honest fraction Pr[h]/(1−α), horizon k, column α.
-func (o *Oracle) TableCell(frac float64, k int, alpha float64) (float64, error) {
-	return o.tableCell(nil, frac, k, alpha)
-}
-
-// TableCellCtx is TableCell traced through ctx.
+// TableCellCtx answers a Table-1 cell query in the table's native
+// coordinates — honest fraction Pr[h]/(1−α), horizon k, column α —
+// traced through ctx.
 func (o *Oracle) TableCellCtx(ctx context.Context, frac float64, k int, alpha float64) (float64, error) {
-	return o.tableCell(telemetry.TraceFrom(ctx), frac, k, alpha)
-}
-
-func (o *Oracle) tableCell(tr *telemetry.Trace, frac float64, k int, alpha float64) (float64, error) {
-	if frac < 0 || frac > 1 {
+	if !(frac >= 0 && frac <= 1) { // positive form also rejects NaN
 		return 0, fmt.Errorf("oracle: honest fraction %v outside [0, 1]", frac)
 	}
-	return o.settlementFailure(tr, alpha, frac*(1-alpha), k)
+	return o.SettlementFailureCtx(ctx, alpha, frac*(1-alpha), k)
 }
 
-// SettlementBracket returns the rigorous bracket [lower, upper] at horizon
-// k computed with pruning threshold tau (τ = 0 collapses the bracket to
-// the exact value). Brackets at different τ are different chains and cache
-// under different keys.
-func (o *Oracle) SettlementBracket(alpha, ph float64, k int, tau float64) (lower, upper float64, err error) {
-	return o.settlementBracket(nil, alpha, ph, k, tau)
-}
-
-// SettlementBracketCtx is SettlementBracket traced through ctx.
+// SettlementBracketCtx returns the rigorous bracket [lower, upper] at
+// horizon k computed with pruning threshold tau (τ = 0 collapses the
+// bracket to the exact value), traced through ctx. Brackets at different
+// τ are different chains and cache under different keys.
 func (o *Oracle) SettlementBracketCtx(ctx context.Context, alpha, ph float64, k int, tau float64) (lower, upper float64, err error) {
-	return o.settlementBracket(telemetry.TraceFrom(ctx), alpha, ph, k, tau)
-}
-
-func (o *Oracle) settlementBracket(tr *telemetry.Trace, alpha, ph float64, k int, tau float64) (lower, upper float64, err error) {
 	o.bracketQ.Add(1)
 	if err := validHorizon(k); err != nil {
 		return 0, 0, err
 	}
+	tr := telemetry.TraceFrom(ctx)
 	e, err := o.lookup(alpha, ph, tau, tr)
 	if err != nil {
 		return 0, 0, err
@@ -480,20 +443,12 @@ func (o *Oracle) settlementBracket(tr *telemetry.Trace, alpha, ph float64, k int
 	return lower, upper, nil
 }
 
-// ConfirmationDepth returns the smallest depth k ≤ kmax whose certified
-// settlement-failure bound is at most target — core.Analyzer's doubling
-// search run over the cached upper-bound chain, so repeated depth queries
-// at one parameter point pay only incremental lattice steps.
-func (o *Oracle) ConfirmationDepth(alpha, ph, target float64, kmax int) (int, error) {
-	return o.confirmationDepth(nil, alpha, ph, target, kmax)
-}
-
-// ConfirmationDepthCtx is ConfirmationDepth traced through ctx.
+// ConfirmationDepthCtx returns the smallest depth k ≤ kmax whose
+// certified settlement-failure bound is at most target —
+// core.Analyzer's doubling search run over the cached upper-bound chain,
+// so repeated depth queries at one parameter point pay only incremental
+// lattice steps. Traced through ctx.
 func (o *Oracle) ConfirmationDepthCtx(ctx context.Context, alpha, ph, target float64, kmax int) (int, error) {
-	return o.confirmationDepth(telemetry.TraceFrom(ctx), alpha, ph, target, kmax)
-}
-
-func (o *Oracle) confirmationDepth(tr *telemetry.Trace, alpha, ph, target float64, kmax int) (int, error) {
 	o.depthQ.Add(1)
 	if !(target > 0 && target < 1) { // positive form also rejects NaN
 		return 0, fmt.Errorf("oracle: target %v outside (0,1)", target)
@@ -501,6 +456,7 @@ func (o *Oracle) confirmationDepth(tr *telemetry.Trace, alpha, ph, target float6
 	if kmax < 1 || kmax > MaxDepthKMax {
 		return 0, fmt.Errorf("oracle: kmax %d outside [1, %d]", kmax, MaxDepthKMax)
 	}
+	tr := telemetry.TraceFrom(ctx)
 	e, err := o.lookup(alpha, ph, 0, tr)
 	if err != nil {
 		return 0, err
@@ -511,7 +467,7 @@ func (o *Oracle) confirmationDepth(tr *telemetry.Trace, alpha, ph, target float6
 }
 
 // depthLocked runs the doubling search under the entry lock; it is shared
-// by ConfirmationDepth and the batch executor (which revalidates kmax on
+// by ConfirmationDepthCtx and the batch executor (which revalidates kmax on
 // this path).
 func (o *Oracle) depthLocked(e *entry, target float64, kmax int, tr *telemetry.Trace) (int, error) {
 	if kmax > MaxDepthKMax {
@@ -547,11 +503,4 @@ func (o *Oracle) Stats() Stats {
 		SnapshotLoaded:     o.snapLoaded.Load(),
 		SnapshotBadSects:   o.snapQuarantined.Load(),
 	}
-}
-
-// Publish registers the oracle's Stats snapshot as the expvar variable of
-// the given name (served on /debug/vars). expvar names are process-global
-// and non-removable, so call Publish at most once per name per process.
-func (o *Oracle) Publish(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return o.Stats() }))
 }

@@ -1,9 +1,11 @@
 package oracle
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,6 +15,10 @@ import (
 )
 
 // mustAnalyzer builds the uncached reference path for a parameter point.
+
+// ctx is the context every test queries the oracle under.
+var ctx = context.Background()
+
 func mustAnalyzer(t *testing.T, alpha, ph float64) *core.Analyzer {
 	t.Helper()
 	a, err := core.New(alpha, ph)
@@ -65,7 +71,7 @@ func TestOracleMatchesAnalyzer(t *testing.T) {
 			t.Fatal(err)
 		}
 		for pass, label := range []string{"cold", "hot"} {
-			got, err := o.SettlementCurve(pt.alpha, ph, k)
+			got, err := o.SettlementCurveCtx(ctx, pt.alpha, ph, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +85,7 @@ func TestOracleMatchesAnalyzer(t *testing.T) {
 				}
 			}
 
-			p, err := o.SettlementFailure(pt.alpha, ph, k)
+			p, err := o.SettlementFailureCtx(ctx, pt.alpha, ph, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +93,7 @@ func TestOracleMatchesAnalyzer(t *testing.T) {
 				t.Fatalf("failure %g, analyzer %g", p, wantP)
 			}
 
-			cell, err := o.TableCell(pt.frac, k, pt.alpha)
+			cell, err := o.TableCellCtx(ctx, pt.frac, k, pt.alpha)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +101,7 @@ func TestOracleMatchesAnalyzer(t *testing.T) {
 				t.Fatalf("cell %g, curve end %g", cell, wantCurve[k-1])
 			}
 
-			lo, hi, err := o.SettlementBracket(pt.alpha, ph, k, 1e-30)
+			lo, hi, err := o.SettlementBracketCtx(ctx, pt.alpha, ph, k, 1e-30)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +116,7 @@ func TestOracleMatchesAnalyzer(t *testing.T) {
 			// Depth queries only where the target is reachable in a small
 			// search (α = 0.49 decays at Θ(ǫ³) and needs k ~ 10⁶).
 			if pt.alpha <= 0.30 {
-				depth, err := o.ConfirmationDepth(pt.alpha, ph, 1e-6, 4096)
+				depth, err := o.ConfirmationDepthCtx(ctx, pt.alpha, ph, 1e-6, 4096)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -130,14 +136,14 @@ func TestOracleMatchesAnalyzer(t *testing.T) {
 // other share one entry and return byte-identical answers.
 func TestOracleCanonicalization(t *testing.T) {
 	o := New(0)
-	exact, err := o.SettlementFailure(0.30, 0.25*(1-0.30), 60)
+	exact, err := o.SettlementFailureCtx(ctx, 0.30, 0.25*(1-0.30), 60)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The same point recovered through perturbing float arithmetic
 	// (0.1 × 3 ≠ 0.30 in the last ulp).
 	alpha := 0.1 * 3.0
-	perturbed, err := o.SettlementFailure(alpha, 0.25*(1-alpha), 60)
+	perturbed, err := o.SettlementFailureCtx(ctx, alpha, 0.25*(1-alpha), 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +174,7 @@ func TestOracleSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			vals[w], errs[w] = o.SettlementFailure(0.25, 0.375, k)
+			vals[w], errs[w] = o.SettlementFailureCtx(ctx, 0.25, 0.375, k)
 		}(w)
 	}
 	wg.Wait()
@@ -216,7 +222,7 @@ func TestOracleExtendUnderContention(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 8; i++ {
 				k := 1 + rng.Intn(kMax)
-				got, err := o.SettlementCurve(0.30, 0.35, k)
+				got, err := o.SettlementCurveCtx(ctx, 0.30, 0.35, k)
 				if err != nil {
 					errc <- err
 					return
@@ -236,7 +242,7 @@ func TestOracleExtendUnderContention(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The settled curve, fully extended, matches the fresh build end to end.
-	final, err := o.SettlementCurve(0.30, 0.35, kMax)
+	final, err := o.SettlementCurveCtx(ctx, 0.30, 0.35, kMax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +262,7 @@ func TestOracleLRUEviction(t *testing.T) {
 	o := New(2)
 	points := []struct{ alpha, ph float64 }{{0.10, 0.5}, {0.20, 0.4}, {0.30, 0.3}}
 	for _, pt := range points {
-		if _, err := o.SettlementFailure(pt.alpha, pt.ph, 40); err != nil {
+		if _, err := o.SettlementFailureCtx(ctx, pt.alpha, pt.ph, 40); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,7 +274,7 @@ func TestOracleLRUEviction(t *testing.T) {
 		t.Fatalf("resident bytes gauge not positive: %d", st.ResidentCurveBytes)
 	}
 	// The first point was evicted; touching it again is a miss + rebuild.
-	if _, err := o.SettlementFailure(0.10, 0.5, 40); err != nil {
+	if _, err := o.SettlementFailureCtx(ctx, 0.10, 0.5, 40); err != nil {
 		t.Fatal(err)
 	}
 	if st = o.Stats(); st.Misses != 4 || st.Builds != 4 {
@@ -290,7 +296,7 @@ func TestOracleBatchPlanning(t *testing.T) {
 		{Op: "cell", Alpha: 0.30, Frac: &frac, K: 60},
 		{Op: "bogus", Alpha: 0.25, Frac: &frac, K: 10},
 	}
-	results, plan, err := o.Batch(queries, 4)
+	results, plan, err := o.BatchCtx(ctx, queries, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,29 +334,34 @@ func TestOracleBatchPlanning(t *testing.T) {
 func TestOracleValidation(t *testing.T) {
 	o := New(0)
 	cases := []func() error{
-		func() error { _, err := o.SettlementCurve(0.6, 0.1, 10); return err },
-		func() error { _, err := o.SettlementCurve(0.25, -0.1, 10); return err },
-		func() error { _, err := o.SettlementCurve(0.25, 0.3, 0); return err },
-		func() error { _, err := o.SettlementCurve(0.25, 0.3, MaxQueryHorizon+1); return err },
-		func() error { _, err := o.ConfirmationDepth(0.25, 0.3, 1.5, 100); return err },
-		func() error { _, err := o.ConfirmationDepth(0.25, 0.3, 1e-6, 0); return err },
-		func() error { _, err := o.ConfirmationDepth(0.25, 0.3, 1e-6, MaxDepthKMax+1); return err },
-		func() error { _, _, err := o.SettlementBracket(0.25, 0.3, 10, -1); return err },
-		func() error { _, err := o.TableCell(1.5, 10, 0.25); return err },
+		func() error { _, err := o.SettlementCurveCtx(ctx, 0.6, 0.1, 10); return err },
+		func() error { _, err := o.SettlementCurveCtx(ctx, 0.25, -0.1, 10); return err },
+		func() error { _, err := o.SettlementCurveCtx(ctx, 0.25, 0.3, 0); return err },
+		func() error { _, err := o.SettlementCurveCtx(ctx, 0.25, 0.3, MaxQueryHorizon+1); return err },
+		func() error { _, err := o.ConfirmationDepthCtx(ctx, 0.25, 0.3, 1.5, 100); return err },
+		func() error { _, err := o.ConfirmationDepthCtx(ctx, 0.25, 0.3, 1e-6, 0); return err },
+		func() error { _, err := o.ConfirmationDepthCtx(ctx, 0.25, 0.3, 1e-6, MaxDepthKMax+1); return err },
+		func() error { _, _, err := o.SettlementBracketCtx(ctx, 0.25, 0.3, 10, -1); return err },
+		func() error { _, err := o.TableCellCtx(ctx, 1.5, 10, 0.25); return err },
 		// ph beyond the uniquely-honest ceiling (1+ǫ)/2 at the canonical point.
-		func() error { _, err := o.SettlementCurve(0.25, 0.9, 10); return err },
+		func() error { _, err := o.SettlementCurveCtx(ctx, 0.25, 0.9, 10); return err },
 	}
 	nan := math.NaN()
 	cases = append(cases,
-		func() error { _, err := o.SettlementCurve(nan, 0.3, 10); return err },
-		func() error { _, err := o.SettlementCurve(0.25, nan, 10); return err },
-		func() error { _, err := o.ConfirmationDepth(0.25, 0.3, nan, 100); return err },
-		func() error { _, _, err := o.SettlementBracket(0.25, 0.3, 10, nan); return err },
+		func() error { _, err := o.SettlementCurveCtx(ctx, nan, 0.3, 10); return err },
+		func() error { _, err := o.SettlementCurveCtx(ctx, 0.25, nan, 10); return err },
+		func() error { _, err := o.ConfirmationDepthCtx(ctx, 0.25, 0.3, nan, 100); return err },
+		func() error { _, _, err := o.SettlementBracketCtx(ctx, 0.25, 0.3, 10, nan); return err },
 	)
 	for i, f := range cases {
 		if err := f(); err == nil {
 			t.Errorf("case %d: invalid query accepted", i)
 		}
+	}
+	// A NaN honest fraction is rejected by the frac guard itself, not
+	// later as a NaN ph.
+	if _, err := o.TableCellCtx(ctx, nan, 10, 0.25); err == nil || !strings.Contains(err.Error(), "honest fraction NaN") {
+		t.Errorf("TableCellCtx(frac=NaN): error %v, want one naming the honest fraction", err)
 	}
 	if st := o.Stats(); st.Entries != 0 {
 		t.Fatalf("invalid queries left %d cache entries", st.Entries)
@@ -363,7 +374,7 @@ func TestOracleValidation(t *testing.T) {
 	for points := 0; points <= MaxBatchCurvePoints; points += MaxQueryHorizon {
 		big = append(big, BatchQuery{Op: "curve", Alpha: 0.25, Frac: &frac, K: MaxQueryHorizon})
 	}
-	if _, _, err := o.Batch(big, 1); err == nil {
+	if _, _, err := o.BatchCtx(ctx, big, 1); err == nil {
 		t.Error("oversized batch accepted")
 	}
 	if st := o.Stats(); st.Entries != 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"multihonest/internal/telemetry"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -46,7 +47,7 @@ func TestServerEndpoints(t *testing.T) {
 		P     float64 `json:"p"`
 	}
 	getJSON(t, c, ts.URL+"/v1/cell?alpha=0.30&frac=0.25&k=60", http.StatusOK, &cell)
-	want, err := o.TableCell(0.25, 60, 0.30)
+	want, err := o.TableCellCtx(ctx, 0.25, 60, 0.30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestServerEndpoints(t *testing.T) {
 		Depth int `json:"depth"`
 	}
 	getJSON(t, c, ts.URL+"/v1/depth?alpha=0.25&frac=0.5&target=1e-6&kmax=4096", http.StatusOK, &depth)
-	wantD, err := o.ConfirmationDepth(0.25, 0.5*(1-0.25), 1e-6, 4096)
+	wantD, err := o.ConfirmationDepthCtx(ctx, 0.25, 0.5*(1-0.25), 1e-6, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +124,16 @@ func TestServerEndpoints(t *testing.T) {
 }
 
 // TestServerHealthzAndVars: the liveness and metrics surfaces report the
-// cache state the traffic created.
+// cache state the traffic created, and the retired /debug/vars route is
+// gone.
 func TestServerHealthzAndVars(t *testing.T) {
 	o := New(0)
-	ts := httptest.NewServer(NewServer(o, 2).Handler())
+	reg := telemetry.New()
+	o.Instrument(reg)
+	mux := http.NewServeMux()
+	mux.Handle("/", NewServer(o, 2).Handler())
+	mux.Handle("/metrics", reg.Handler())
+	ts := httptest.NewServer(mux)
 	defer ts.Close()
 	c := ts.Client()
 
@@ -144,17 +151,40 @@ func TestServerHealthzAndVars(t *testing.T) {
 		t.Fatalf("healthz %+v", h)
 	}
 
-	resp, err := c.Get(ts.URL + "/debug/vars")
+	resp, err := c.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
+	sc, err := telemetry.ParseText(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK || !strings.Contains(buf.String(), "cmdline") {
-		t.Fatalf("/debug/vars status %d body %q", resp.StatusCode, buf.String()[:min(120, buf.Len())])
+	for _, m := range []struct {
+		name   string
+		labels map[string]string
+		want   float64
+	}{
+		{"oracle_cache_entries", nil, 1},
+		{"oracle_cache_hits_total", nil, 1},
+		{"oracle_cache_misses_total", nil, 1},
+		{"oracle_queries_total", map[string]string{"op": "cell"}, 2},
+		{"oracle_snapshot_saves_total", nil, 0},
+		{"oracle_snapshot_loaded_total", nil, 0},
+		{"oracle_snapshot_quarantined_sections_total", nil, 0},
+	} {
+		if got, ok := sc.Value(m.name, m.labels); !ok || got != m.want {
+			t.Errorf("/metrics %s%v = %v (present=%v), want %v", m.name, m.labels, got, ok, m.want)
+		}
+	}
+
+	resp, err = c.Get(ts.URL + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/debug/vars status %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -193,7 +223,7 @@ func TestServerBatch(t *testing.T) {
 	if out.Plan.Groups != 2 || out.Plan.Queries != 4 || out.Plan.MaxK != 50 {
 		t.Fatalf("plan %+v", out.Plan)
 	}
-	want, _ := o.TableCell(frac, 50, 0.25)
+	want, _ := o.TableCellCtx(ctx, frac, 50, 0.25)
 	if out.Results[0].P == nil || *out.Results[0].P != want {
 		t.Fatalf("batch result 0 = %v, want %g", out.Results[0].P, want)
 	}
@@ -253,7 +283,7 @@ func TestOracleServeEquivalence(t *testing.T) {
 	zipf := rand.NewZipf(rng, 1.4, 1, uint64(len(keys)-1))
 	for i := 0; i < 200; i++ {
 		key := keys[zipf.Uint64()]
-		got, err := o.SettlementFailure(key.alpha, key.ph, key.k)
+		got, err := o.SettlementFailureCtx(ctx, key.alpha, key.ph, key.k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,15 +21,15 @@ func warmOracle(t *testing.T, k int) *Oracle {
 	o := New(0)
 	for _, pt := range testPoints {
 		ph := pt.frac * (1 - pt.alpha)
-		if _, err := o.SettlementCurve(pt.alpha, ph, k); err != nil {
+		if _, err := o.SettlementCurveCtx(ctx, pt.alpha, ph, k); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := o.SettlementBracket(pt.alpha, ph, k, 1e-30); err != nil {
+		if _, _, err := o.SettlementBracketCtx(ctx, pt.alpha, ph, k, 1e-30); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// One depth search at an easy point so an upper curve is resident.
-	if _, err := o.ConfirmationDepth(0.25, 0.5*(1-0.25), 1e-4, 4096); err != nil {
+	if _, err := o.ConfirmationDepthCtx(ctx, 0.25, 0.5*(1-0.25), 1e-4, 4096); err != nil {
 		t.Fatal(err)
 	}
 	return o
@@ -51,11 +51,11 @@ func computeColdAnswers(t *testing.T, k int) *coldAnswers {
 	want := &coldAnswers{k: k}
 	for _, pt := range testPoints {
 		ph := pt.frac * (1 - pt.alpha)
-		c, err := cold.SettlementCurve(pt.alpha, ph, k)
+		c, err := cold.SettlementCurveCtx(ctx, pt.alpha, ph, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lo, hi, err := cold.SettlementBracket(pt.alpha, ph, k, 1e-30)
+		lo, hi, err := cold.SettlementBracketCtx(ctx, pt.alpha, ph, k, 1e-30)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func computeColdAnswers(t *testing.T, k int) *coldAnswers {
 		want.lo = append(want.lo, lo)
 		want.hi = append(want.hi, hi)
 	}
-	d, err := cold.ConfirmationDepth(0.25, 0.5*(1-0.25), 1e-4, 4096)
+	d, err := cold.ConfirmationDepthCtx(ctx, 0.25, 0.5*(1-0.25), 1e-4, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +78,14 @@ func assertAnswersIdentical(t *testing.T, loaded *Oracle, want *coldAnswers) {
 	t.Helper()
 	for i, pt := range testPoints {
 		ph := pt.frac * (1 - pt.alpha)
-		lc, err := loaded.SettlementCurve(pt.alpha, ph, want.k)
+		lc, err := loaded.SettlementCurveCtx(ctx, pt.alpha, ph, want.k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(lc, want.curves[i]) {
 			t.Fatalf("point (%v,%v): loaded curve differs from cold", pt.alpha, pt.frac)
 		}
-		llo, lhi, err := loaded.SettlementBracket(pt.alpha, ph, want.k, 1e-30)
+		llo, lhi, err := loaded.SettlementBracketCtx(ctx, pt.alpha, ph, want.k, 1e-30)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func assertAnswersIdentical(t *testing.T, loaded *Oracle, want *coldAnswers) {
 			t.Fatalf("point (%v,%v): loaded bracket [%v,%v] != cold [%v,%v]", pt.alpha, pt.frac, llo, lhi, want.lo[i], want.hi[i])
 		}
 	}
-	ld, err := loaded.ConfirmationDepth(0.25, 0.5*(1-0.25), 1e-4, 4096)
+	ld, err := loaded.ConfirmationDepthCtx(ctx, 0.25, 0.5*(1-0.25), 1e-4, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,22 +134,22 @@ func TestSnapshotRoundtrip(t *testing.T) {
 	// Warm-set queries must be pure reads: zero builds, zero extends.
 	for _, pt := range testPoints {
 		ph := pt.frac * (1 - pt.alpha)
-		want, err := warm.SettlementCurve(pt.alpha, ph, k)
+		want, err := warm.SettlementCurveCtx(ctx, pt.alpha, ph, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := restored.SettlementCurve(pt.alpha, ph, k)
+		got, err := restored.SettlementCurveCtx(ctx, pt.alpha, ph, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("point (%v,%v): restored curve differs", pt.alpha, pt.frac)
 		}
-		wlo, whi, err := warm.SettlementBracket(pt.alpha, ph, k, 1e-30)
+		wlo, whi, err := warm.SettlementBracketCtx(ctx, pt.alpha, ph, k, 1e-30)
 		if err != nil {
 			t.Fatal(err)
 		}
-		glo, ghi, err := restored.SettlementBracket(pt.alpha, ph, k, 1e-30)
+		glo, ghi, err := restored.SettlementBracketCtx(ctx, pt.alpha, ph, k, 1e-30)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,11 +157,11 @@ func TestSnapshotRoundtrip(t *testing.T) {
 			t.Fatalf("point (%v,%v): restored bracket differs bitwise", pt.alpha, pt.frac)
 		}
 	}
-	d, err := restored.ConfirmationDepth(0.25, 0.5*(1-0.25), 1e-4, 4096)
+	d, err := restored.ConfirmationDepthCtx(ctx, 0.25, 0.5*(1-0.25), 1e-4, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dw, err := warm.ConfirmationDepth(0.25, 0.5*(1-0.25), 1e-4, 4096)
+	dw, err := warm.ConfirmationDepthCtx(ctx, 0.25, 0.5*(1-0.25), 1e-4, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestCheckpointer(t *testing.T) {
 	path := filepath.Join(dir, "oracle.mhsnap")
 	o := New(0)
 	const k = 30
-	if _, err := o.SettlementCurve(0.25, 0.375, k); err != nil {
+	if _, err := o.SettlementCurveCtx(ctx, 0.25, 0.375, k); err != nil {
 		t.Fatal(err)
 	}
 
@@ -398,7 +398,7 @@ func TestCheckpointer(t *testing.T) {
 
 	// Mutate after the periodic save, then Close: the final flush must
 	// carry the new point.
-	if _, err := o.SettlementCurve(0.30, 0.30*0.25, k); err == nil {
+	if _, err := o.SettlementCurveCtx(ctx, 0.30, 0.30*0.25, k); err == nil {
 		// (second point: α=0.30, ph arbitrary valid)
 	} else {
 		t.Fatal(err)
@@ -419,7 +419,7 @@ func TestCheckpointer(t *testing.T) {
 	if stats.Entries < 2 {
 		t.Fatalf("final snapshot holds %d entries, want both points", stats.Entries)
 	}
-	if _, err := restored.SettlementCurve(0.30, 0.30*0.25, k); err != nil {
+	if _, err := restored.SettlementCurveCtx(ctx, 0.30, 0.30*0.25, k); err != nil {
 		t.Fatal(err)
 	}
 	if st := restored.Stats(); st.Builds != 0 {

@@ -62,7 +62,7 @@ type Options struct {
 	MinESS float64
 	// Seed selects the deterministic sample streams; Workers and
 	// BatchSize are passed through to the runner (neither affects the
-	// estimate; BatchSize is part of the sampling scheme as in RunStream).
+	// estimate; BatchSize is part of the sampling scheme, see runner.Config).
 	Seed      int64
 	Workers   int
 	BatchSize int

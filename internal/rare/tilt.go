@@ -268,7 +268,7 @@ func (t TiltedSemiSync) BlockSampler(skip, cond int) runner.BlockSampler {
 // The θ = 0 wrapper is exactly the PR 3 path: the sampler is the base
 // threshold table, the LLR is identically zero and every weight is
 // Exp(0) = 1, so the weighted estimate's P equals the unweighted
-// RunStream estimate bit for bit (TestUnitTiltBitIdentical pins this).
+// RunStreamBlocks estimate bit for bit (TestUnitTiltBitIdentical pins this).
 type TiltedVerdict struct {
 	Inner runner.StreamVerdict
 	Tilt  Tilt

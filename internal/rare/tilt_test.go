@@ -40,23 +40,23 @@ func TestUnitTiltBitIdentical(t *testing.T) {
 }
 
 // TestUnitTiltSamplesIdentical pins the alignment at the engine layer,
-// with no stopping rule in between: RunStreamWeighted over the θ = 0
-// tilted sampler and a UnitWeight-equivalent wrapped verdict reproduces
-// RunStream exactly at the same Config.
+// with no stopping rule in between: RunStreamWeightedBlocks over the
+// θ = 0 tilted sampler and wrapped verdict reproduces RunStreamBlocks
+// over the plain sampler and verdict exactly at the same Config.
 func TestUnitTiltSamplesIdentical(t *testing.T) {
 	p := charstring.MustParams(0.3, 0.25)
 	const m, k, n, seed = 60, 30, 30000, 1729
 	cfg := runner.Config{N: n, Seed: seed, Workers: 3}
 
 	law := TiltSync(p, 0)
-	weighted, err := runner.RunStreamWeighted(cfg, m+k, law.Sampler(m), func() runner.WeightedStreamVerdict {
+	weighted, err := runner.RunStreamWeightedBlocks(cfg, m+k, law.BlockSampler(m), func() *TiltedVerdict {
 		return &TiltedVerdict{Inner: mc.NewSettlementStreamVerdict(m, m+k), Tilt: law.Tilt, Skip: m}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := runner.RunStream(cfg, m+k, mc.StreamBernoulliSampler(p), func() runner.StreamVerdict {
-		return mc.NewSettlementStreamVerdict(m, m+k)
+	plain, err := runner.RunStreamBlocks(cfg, m+k, mc.BlockBernoulliMaskSampler(p), func() runner.BlockVerdict {
+		return mc.NewSettlementStreamVerdict(m, m+k).(runner.BlockVerdict)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,14 +6,14 @@ import (
 	"multihonest/internal/charstring"
 )
 
-// This file is the block-at-a-time core of the streaming engine: raw
-// uint64s drawn 64 at a time from the per-sample splitmix64 stream into a
-// stack buffer, classified into symbols and packed category masks in one
-// branch-free pass (charstring.ClassifyBlock), and fed to verdicts a block
-// at a time. It removes the two per-symbol indirect calls the
-// symbol-at-a-time loop pays — the SymbolSampler closure and the
-// StreamVerdict.Feed dispatch — leaving one fill call and one FeedBlock
-// call per 64 symbols.
+// This file is the block-at-a-time core of the streaming engine — the
+// drivers every Monte-Carlo job runs on: raw uint64s drawn 64 at a time
+// from the per-sample splitmix64 stream into a stack buffer, classified
+// into symbols and packed category masks in one branch-free pass
+// (charstring.ClassifyBlock), and fed to verdicts a block at a time. A
+// symbol-at-a-time loop would pay two per-symbol indirect calls — the
+// SymbolSampler closure and the StreamVerdict.Feed dispatch — where this
+// one pays one fill call and one FeedBlock call per 64 symbols.
 //
 // # Determinism under over-drawing
 //
@@ -21,12 +21,13 @@ import (
 // every sample reseeds from SampleSeed before its first draw. Filling a
 // whole 64-draw block therefore consumes randomness that no other sample
 // can ever observe: draws past the point where the verdict decides (or
-// past T in a partial tail block) are simply discarded, exactly like the
-// never-generated symbols of the scalar loop's early exit. Block and
-// scalar paths hence draw identical symbol sequences for every sample —
-// the raw stream is the same, and ClassifyBlock is definitionally the
-// per-draw Symbol map — so the Estimates agree bit for bit at every worker
-// count (the runner-block-scalar-identity conformance invariant).
+// past T in a partial tail block) are simply discarded. Each sample thus
+// sees exactly the symbols its SymbolSampler decodes from the same stream
+// — the raw stream is the same (Fill equals 64 Uint64 calls), and
+// ClassifyBlock is definitionally the per-draw Symbol map — so every
+// sample's outcome equals its scalar verdict's on those symbols (the
+// runner-block-scalar-identity conformance invariant checks this sample
+// by sample).
 
 // BlockSize is the number of symbols generated per block — one uint64 of
 // per-category classification masks.
@@ -107,9 +108,9 @@ func (r *SM64) Fill(dst *[BlockSize]uint64) {
 // RunStreamBlocks executes a Monte-Carlo job on the block-at-a-time core:
 // cfg.N samples of length (at most) T, generated 64 symbols at a time by
 // fill and judged block-at-a-time by per-worker verdicts from newVerdict.
-// Same sampling scheme, determinism contract and error handling as
-// RunStream — the two return bit-identical Estimates (see the file
-// comment).
+// The returned Estimate is bit-identical for every worker count (see the
+// package comment); the first verdict error cancels the remaining
+// batches and is returned.
 func RunStreamBlocks[V BlockVerdict](cfg Config, T int, fill BlockSampler, newVerdict func() V) (Estimate, error) {
 	if fill == nil || newVerdict == nil {
 		return Estimate{}, fmt.Errorf("runner: nil sampler or verdict constructor")
@@ -139,10 +140,12 @@ func RunStreamBlocks[V BlockVerdict](cfg Config, T int, fill BlockSampler, newVe
 
 // RunStreamWeightedBlocks is the weighted twin of RunStreamBlocks, driving
 // WeightedBlockVerdicts over the batch-ordered float fold of
-// runWeightedPool. It returns WeightedEstimates bit-identical to
-// RunStreamWeighted over the scalar forms of the same proposal and verdict
-// — including SumW and SumW2 — provided the verdict's FeedBlock reports
-// the exact scalar decision index (see BlockVerdict).
+// runWeightedPool, so the WeightedEstimate — SumW and SumW2 included — is
+// bit-identical at every worker count. Each sample's (hit, weight) equals
+// its scalar verdict's on the same stream provided FeedBlock reports the
+// exact scalar decision index (see BlockVerdict). A verdict returning a
+// negative, NaN or infinite weight is reported as an error — a likelihood
+// ratio can never be one, so it indicates a broken proposal.
 func RunStreamWeightedBlocks[V WeightedBlockVerdict](cfg Config, T int, fill BlockSampler, newVerdict func() V) (WeightedEstimate, error) {
 	if fill == nil || newVerdict == nil {
 		return WeightedEstimate{}, fmt.Errorf("runner: nil sampler or verdict constructor")

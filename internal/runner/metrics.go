@@ -8,7 +8,7 @@ import (
 )
 
 // runnerMetrics is the package's optional telemetry export, shared by
-// every pool (Run, streamPool, runWeightedPool). Installed once by
+// both pools (streamPool, runWeightedPool). Installed once by
 // Instrument; absent, every tracker below is nil and recording is inert.
 type runnerMetrics struct {
 	samples *telemetry.CounterVec // by job name, counted per batch

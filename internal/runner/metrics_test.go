@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -9,7 +8,7 @@ import (
 	"multihonest/internal/telemetry"
 )
 
-// TestInstrumentRecordsJobs runs instrumented batch and streaming jobs
+// TestInstrumentRecordsJobs runs instrumented unweighted and weighted jobs
 // and checks the per-job series: sample counts exact, throughput gauge
 // set, active gauge back to zero, and the Estimate untouched by the
 // instrumentation (Name is display metadata, never sampling scheme).
@@ -18,17 +17,14 @@ func TestInstrumentRecordsJobs(t *testing.T) {
 	Instrument(reg)
 	defer met.Store(nil)
 
-	sample := func(rng *rand.Rand) charstring.String {
-		return charstring.String{charstring.Adversarial}
-	}
-	verdict := func(w charstring.String) (bool, error) { return true, nil }
-
+	p := charstring.MustParams(0.3, 0.2)
+	newV := func() blockOf { return blockOf{&constVerdict{}} }
 	cfg := Config{N: 1000, Seed: 7, Workers: 2, BatchSize: 64, Name: "job_a"}
-	bare, err := Run(Config{N: 1000, Seed: 7, Workers: 2, BatchSize: 64}, sample, verdict)
+	bare, err := RunStreamBlocks(Config{N: 1000, Seed: 7, Workers: 2, BatchSize: 64}, 4, thresholdBlocks(p), newV)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := Run(cfg, sample, verdict)
+	inst, err := RunStreamBlocks(cfg, 4, thresholdBlocks(p), newV)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,9 +32,8 @@ func TestInstrumentRecordsJobs(t *testing.T) {
 		t.Fatalf("instrumented estimate %+v differs from bare %+v", inst, bare)
 	}
 
-	if _, err := RunStream(Config{N: 500, Seed: 1, Name: "job_b"}, 4,
-		func(rng *SM64, slot int) charstring.Symbol { return charstring.Symbol(rng.Uint64() % 3) },
-		func() StreamVerdict { return &constVerdict{} }); err != nil {
+	if _, err := RunStreamWeightedBlocks(Config{N: 500, Seed: 1, Name: "job_b"}, 4, thresholdBlocks(p),
+		weighted(func() WeightedStreamVerdict { return &countWeighted{T: 4, need: 1} })); err != nil {
 		t.Fatal(err)
 	}
 

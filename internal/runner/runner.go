@@ -1,18 +1,20 @@
 // Package runner is the parallel Monte-Carlo experiment engine: a
-// worker-pool that draws characteristic strings in fixed-size batches,
-// applies a pure per-string verdict to each sample, and streams per-batch
-// hit counts to an aggregator that produces a Wilson-interval Estimate.
+// worker pool that generates characteristic strings 64 symbols at a time
+// from per-sample random streams, judges each sample online with a
+// reusable verdict, and folds per-batch results into an Estimate (Wilson
+// interval) or, for importance-sampled jobs, a WeightedEstimate.
 //
 // # Determinism
 //
-// The sampling scheme is defined over batches, not workers: the N samples
-// of a job are partitioned into ⌈N/BatchSize⌉ consecutive batches, and
-// batch b is always drawn from the deterministic stream BatchRNG(seed, b),
-// regardless of which worker claims the batch or in which order batches
-// complete. Hit counts are integers and integer addition is commutative
-// and associative, so the aggregate (Hits, N) — and therefore the Estimate
-// and its Wilson interval — is bit-identical for every worker count and
-// every GOMAXPROCS setting. See DESIGN.md §4 for the full argument.
+// The sampling scheme is defined over batches and samples, not workers:
+// the N samples of a job are partitioned into ⌈N/BatchSize⌉ consecutive
+// batches, and sample i of batch b always draws from the splitmix64
+// stream seeded by SampleSeed(seed, b, i), regardless of which worker
+// claims the batch or in which order batches complete. Hit counts are
+// integers, so their fold order cannot matter; weighted sums fold in
+// batch order. Every estimate is therefore bit-identical for every worker
+// count and every GOMAXPROCS setting. See DESIGN.md §4 for the full
+// argument.
 //
 // The batch size is part of the sampling scheme: two runs agree exactly
 // only if they share N, Seed and BatchSize. Worker count never matters.
@@ -20,7 +22,6 @@ package runner
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -30,8 +31,8 @@ import (
 )
 
 // DefaultBatchSize is the batch granularity used when Config.BatchSize is
-// zero. It is large enough to amortize goroutine scheduling and RNG
-// construction, and small enough to load-balance uneven verdict costs.
+// zero. It is large enough to amortize goroutine scheduling and result
+// streaming, and small enough to load-balance uneven verdict costs.
 const DefaultBatchSize = 256
 
 // Estimate is a Monte-Carlo frequency with its Wilson 95% confidence
@@ -58,26 +59,23 @@ func (e Estimate) String() string {
 	return fmt.Sprintf("%.4g [%.4g, %.4g] (%d/%d)", e.P, e.Lo, e.Hi, e.Hits, e.N)
 }
 
-// Sampler draws one characteristic string from the supplied source. It may
-// post-process the draw (e.g. condition on a leader in a slot) but must be
-// deterministic given the rng stream.
-type Sampler func(rng *rand.Rand) charstring.String
-
-// Verdict is a pure per-string decision: it reports whether the sampled
-// string exhibits the experiment's event. It must not retain or mutate w
-// and must be safe for concurrent use.
+// Verdict is a pure per-string decision: it reports whether a whole
+// string exhibits the experiment's event. The engine never runs one — it
+// drives block verdicts — but the slice verdicts of package mc are the
+// references those are checked against, sample by sample. A Verdict must
+// not retain or mutate w and must be safe for concurrent use.
 type Verdict func(w charstring.String) (bool, error)
 
 // Config describes one Monte-Carlo job.
 type Config struct {
 	// N is the total number of samples. N ≤ 0 yields the empty Estimate.
 	N int
-	// Seed selects the deterministic batch streams; see BatchRNG.
+	// Seed selects the deterministic sample streams; see SampleSeed.
 	Seed int64
 	// Workers is the worker-pool size; 0 (or negative) selects
 	// runtime.GOMAXPROCS(0). The result never depends on Workers.
 	Workers int
-	// BatchSize is the number of samples per RNG shard; 0 selects
+	// BatchSize is the number of samples per batch; 0 selects
 	// DefaultBatchSize. Unlike Workers it is part of the sampling scheme:
 	// changing it changes which strings are drawn.
 	BatchSize int
@@ -105,7 +103,7 @@ func (c Config) batchSize() int {
 }
 
 // splitmix64 is the SplitMix64 finalizer: a bijective avalanche mix used to
-// derive decorrelated per-batch seeds from (job seed, batch index).
+// derive decorrelated per-sample seeds from (job seed, batch, index).
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -113,89 +111,10 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// BatchRNG returns the deterministic random stream of batch b under the
-// given job seed. The (seed, batch) pair is avalanche-mixed so that nearby
-// seeds and batch indices yield decorrelated streams.
-func BatchRNG(seed int64, batch int) *rand.Rand {
-	mixed := splitmix64(uint64(seed) ^ splitmix64(uint64(batch)))
-	return rand.New(rand.NewSource(int64(mixed)))
-}
-
-// batchResult is one shard's contribution, streamed to the aggregator.
+// batchResult is one batch's contribution, streamed to the aggregator.
 type batchResult struct {
 	hits, n int
 	err     error
-}
-
-// Run executes a Monte-Carlo job: cfg.N samples drawn by sample and judged
-// by verdict, fanned out over cfg.Workers goroutines in batches of
-// cfg.BatchSize. The returned Estimate is identical for every worker count
-// (see the package comment). The first verdict error cancels the remaining
-// batches and is returned.
-func Run(cfg Config, sample Sampler, verdict Verdict) (Estimate, error) {
-	if sample == nil || verdict == nil {
-		return Estimate{}, fmt.Errorf("runner: nil sampler or verdict")
-	}
-	if cfg.N <= 0 {
-		return NewEstimate(0, 0), nil
-	}
-	bs := cfg.batchSize()
-	batches := (cfg.N + bs - 1) / bs
-	results := make(chan batchResult, cfg.workers())
-
-	// Fan-out reuses the ForEach pool (atomic claiming, first-error
-	// cancellation) over batch indices; completed batches stream their
-	// counts to the aggregator below.
-	go func() {
-		err := ForEach(cfg.Workers, batches, func(b int) error {
-			lo := b * bs
-			hi := min(lo+bs, cfg.N)
-			rng := BatchRNG(cfg.Seed, b)
-			hits := 0
-			for i := lo; i < hi; i++ {
-				ok, err := verdict(sample(rng))
-				if err != nil {
-					return fmt.Errorf("runner: batch %d sample %d: %w", b, i, err)
-				}
-				if ok {
-					hits++
-				}
-			}
-			results <- batchResult{hits: hits, n: hi - lo}
-			return nil
-		})
-		if err != nil {
-			results <- batchResult{err: err}
-		}
-		close(results)
-	}()
-
-	// Streaming aggregation: integer hit counts commute, so accumulation
-	// order — which depends on scheduling — cannot affect the total.
-	// Telemetry is batch-granular here in the aggregator: the sample loops
-	// above never touch it.
-	tk := track(&cfg)
-	defer tk.finish()
-	hits, done := 0, 0
-	var firstErr error
-	for r := range results {
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			continue
-		}
-		hits += r.hits
-		done += r.n
-		tk.batch(r.n)
-		if cfg.Progress != nil {
-			cfg.Progress(done, cfg.N)
-		}
-	}
-	if firstErr != nil {
-		return Estimate{}, firstErr
-	}
-	return NewEstimate(hits, cfg.N), nil
 }
 
 // ForEach runs f(i) for every i in [0, n) on a pool of the given number of

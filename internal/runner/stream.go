@@ -8,33 +8,31 @@ import (
 	"multihonest/internal/charstring"
 )
 
-// This file is the streaming half of the engine: a fused sample–judge loop
-// that never materializes a charstring.String. The batch Run path draws a
-// whole string, hands it to a slice-at-a-time Verdict, and throws it away —
-// one heap allocation per sample plus whatever the verdict allocates
-// (catalan.Analyze alone makes four O(T) slices). RunStream instead drives
-// a per-worker StreamVerdict one symbol at a time from a raw-uint64
-// splitmix64 stream, so the steady-state loop performs zero allocations and
-// a sample that decides early stops drawing symbols at all.
+// This file is the streaming foundation of the engine: a fused
+// sample–judge loop that never materializes a charstring.String. A
+// per-worker verdict consumes each sample online from a raw-uint64
+// splitmix64 stream, so the steady-state loop performs zero allocations
+// and a sample that decides early stops drawing symbols at all. The
+// drivers (block.go, weighted.go) feed verdicts 64 symbols at a time; the
+// symbol-at-a-time StreamVerdict below is the scalar reference each block
+// verdict must agree with.
 //
 // # Determinism
 //
-// The streaming scheme keeps the batch discipline of Run and sharpens it to
-// sample granularity: sample i of batch b always draws from the splitmix64
-// stream seeded by SampleSeed(seed, b, i), regardless of which worker runs
-// the batch and regardless of how many symbols *other* samples consumed
-// before deciding. Early exit therefore cannot leak randomness between
-// samples: the Estimate is bit-identical at every worker count, and also
-// identical whether or not verdicts exercise their early-exit paths (the
-// undrawn symbols of a decided sample are simply never generated). Two runs
-// agree exactly iff they share N, Seed and BatchSize — the same contract as
-// Run, over a different (equally valid) sample stream.
+// Sample i of batch b always draws from the splitmix64 stream seeded by
+// SampleSeed(seed, b, i), regardless of which worker runs the batch and
+// regardless of how many symbols *other* samples consumed before
+// deciding. Early exit therefore cannot leak randomness between samples:
+// the Estimate is bit-identical at every worker count, and also identical
+// whether or not verdicts exercise their early-exit paths (the undrawn
+// symbols of a decided sample are simply never looked at). Two runs agree
+// exactly iff they share N, Seed and BatchSize.
 
 // SM64 is a SplitMix64 generator: state advances by the golden-gamma
 // increment and each output is the bijective avalanche finalizer of the new
 // state. It is the raw-uint64 source of the streaming sampler — one add,
 // two xor-multiplies and a shift per symbol, no interface and no escape to
-// the heap, where the batch path pays a full rand.Float64 call.
+// the heap.
 type SM64 struct{ x uint64 }
 
 // Reseed repositions the stream; the next Uint64 is a pure function of seed.
@@ -57,20 +55,23 @@ func SampleSeed(seed int64, batch, i int) uint64 {
 	return splitmix64(splitmix64(uint64(seed)^splitmix64(uint64(batch))) + uint64(i))
 }
 
-// SymbolSampler draws the symbol of one slot (1-based) from the raw stream.
-// It must be a pure function of (rng stream position, slot) — conditioning
-// hooks like "promote an empty slot s to uniquely honest" key off slot.
+// SymbolSampler draws the symbol of one slot (1-based) from the raw stream —
+// the scalar form of a BlockSampler, which decodes a sample's stream into
+// the symbols its block verdict must agree with. It must be a pure
+// function of (rng stream position, slot) — conditioning hooks like
+// "promote an empty slot s to uniquely honest" key off slot.
 type SymbolSampler func(rng *SM64, slot int) charstring.Symbol
 
-// StreamVerdict is the symbol-at-a-time counterpart of Verdict. The engine
-// drives it as Reset, then Feed per symbol until either Feed reports the
-// verdict is decided (no further symbols are drawn) or T symbols have been
-// fed, then Finish.
+// StreamVerdict is the symbol-at-a-time counterpart of Verdict, driven as
+// Reset, then Feed per symbol until either Feed reports the verdict is
+// decided (no further symbols are read) or T symbols have been fed, then
+// Finish. Every BlockVerdict is one; its Feed is the scalar scanner its
+// FeedBlock must agree with.
 //
 // Implementations carry reusable scratch and are therefore NOT safe for
-// concurrent use: RunStream gives every worker its own instance. Feed may
-// only return true when no continuation of the stream could change the
-// verdict, so that early exit is unobservable in the Estimate.
+// concurrent use: the drivers give every worker its own instance. Feed
+// may only return true when no continuation of the stream could change
+// the verdict, so that early exit is unobservable in the Estimate.
 type StreamVerdict interface {
 	// Reset prepares the scratch for a fresh sample.
 	Reset()
@@ -80,44 +81,6 @@ type StreamVerdict interface {
 	// Finish returns the verdict for the fed prefix. After an early exit it
 	// must return the decided value; otherwise exactly T symbols were fed.
 	Finish() (bool, error)
-}
-
-// RunStream executes a Monte-Carlo job on the fused streaming loop: cfg.N
-// samples of length (at most) T, drawn symbol-at-a-time by sample and
-// judged online by per-worker verdicts from newVerdict. The returned
-// Estimate is bit-identical for every worker count (see the file comment);
-// the first verdict error cancels the remaining batches and is returned.
-//
-// RunStream is the interface entry point; RunStreamOf is the generic form
-// it thinly wraps, and RunStreamBlocks (block.go) is the block-at-a-time
-// core the production experiments run on. All three share streamPool and
-// the per-sample SampleSeed streams, so they agree on the sampling scheme.
-func RunStream(cfg Config, T int, sample SymbolSampler, newVerdict func() StreamVerdict) (Estimate, error) {
-	return RunStreamOf(cfg, T, sample, newVerdict)
-}
-
-// RunStreamOf is RunStream with the verdict type propagated: instantiating
-// it at a concrete verdict type lets the per-symbol Feed call resolve
-// against that type rather than through the StreamVerdict interface.
-func RunStreamOf[V StreamVerdict](cfg Config, T int, sample SymbolSampler, newVerdict func() V) (Estimate, error) {
-	if sample == nil || newVerdict == nil {
-		return Estimate{}, fmt.Errorf("runner: nil sampler or verdict constructor")
-	}
-	if T <= 0 {
-		return Estimate{}, fmt.Errorf("runner: non-positive sample length %d", T)
-	}
-	return streamPool(cfg, func() func(rng *SM64) (bool, error) {
-		v := newVerdict()
-		return func(rng *SM64) (bool, error) {
-			v.Reset()
-			for t := 1; t <= T; t++ {
-				if v.Feed(sample(rng, t)) {
-					break
-				}
-			}
-			return v.Finish()
-		}
-	})
 }
 
 // streamPool is the shared unweighted worker pool: each worker owns one
@@ -172,8 +135,9 @@ func streamPool(cfg Config, newJudge func() func(rng *SM64) (bool, error)) (Esti
 		close(results)
 	}()
 
-	// Same order-independent integer fold as Run; telemetry stays
-	// batch-granular and out of the fused sample loop.
+	// Streaming aggregation: integer hit counts commute, so accumulation
+	// order — which depends on scheduling — cannot affect the total.
+	// Telemetry stays batch-granular and out of the fused sample loop.
 	tk := track(&cfg)
 	defer tk.finish()
 	hits, done := 0, 0

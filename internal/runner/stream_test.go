@@ -9,11 +9,32 @@ import (
 	"multihonest/internal/charstring"
 )
 
-// thresholdSampler is the test symbol source: an (ǫ, ph)-Bernoulli
-// threshold sampler over the raw stream.
-func thresholdSampler(p charstring.Params) SymbolSampler {
+// thresholdBlocks is the test block source: 64 raw draws classified
+// against the (ǫ, ph)-Bernoulli cuts.
+func thresholdBlocks(p charstring.Params) BlockSampler {
 	th := p.Thresholds()
-	return func(rng *SM64, _ int) charstring.Symbol { return th.Symbol(rng.Uint64()) }
+	return func(rng *SM64, _ int, blk *Block) {
+		rng.Fill(&blk.Raw)
+		blk.AMask, blk.HMask = th.ClassifyBlock(&blk.Raw, &blk.Syms)
+	}
+}
+
+// blockOf lifts a scalar StreamVerdict to a BlockVerdict by feeding each
+// block's symbols through Feed, so it decides at the exact scalar index.
+type blockOf struct{ StreamVerdict }
+
+func (v blockOf) FeedBlock(blk *Block, n int) int {
+	for i := 0; i < n; i++ {
+		if v.Feed(blk.Syms[i]) {
+			return i + 1
+		}
+	}
+	return 0
+}
+
+// counting returns a constructor of block-driven countingStreams.
+func counting(T int, earlyExit bool) func() blockOf {
+	return func() blockOf { return blockOf{&countingStream{T: T, earlyExit: earlyExit}} }
 }
 
 // countingStream is a minimal StreamVerdict: the event is "more than a
@@ -47,8 +68,8 @@ func (v *countingStream) Finish() (bool, error) { return 3*v.adv > v.T, nil }
 func TestRunStreamDeterministicAcrossWorkers(t *testing.T) {
 	p := charstring.MustParams(0.3, 0.2)
 	const T = 50
-	newV := func() StreamVerdict { return &countingStream{T: T} }
-	ref, err := RunStream(Config{N: 10_000, Seed: 42, Workers: 1}, T, thresholdSampler(p), newV)
+	newV := counting(T, false)
+	ref, err := RunStreamBlocks(Config{N: 10_000, Seed: 42, Workers: 1}, T, thresholdBlocks(p), newV)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +79,7 @@ func TestRunStreamDeterministicAcrossWorkers(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, workers := range []int{1, 4, 8} {
-			got, err := RunStream(Config{N: 10_000, Seed: 42, Workers: workers}, T, thresholdSampler(p), newV)
+			got, err := RunStreamBlocks(Config{N: 10_000, Seed: 42, Workers: workers}, T, thresholdBlocks(p), newV)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,29 +115,29 @@ func TestRunStreamMatchesManualLoop(t *testing.T) {
 		}
 	}
 	want := NewEstimate(hits, n)
-	got, err := RunStream(Config{N: n, Seed: seed, Workers: 6, BatchSize: bs}, T,
-		thresholdSampler(p), func() StreamVerdict { return &countingStream{T: T} })
+	got, err := RunStreamBlocks(Config{N: n, Seed: seed, Workers: 6, BatchSize: bs}, T,
+		thresholdBlocks(p), counting(T, false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("RunStream %v != manual loop %v", got, want)
+		t.Fatalf("RunStreamBlocks %v != manual loop %v", got, want)
 	}
 }
 
 // TestRunStreamEarlyExitInvariance: because every sample owns its RNG
 // stream, exercising the early-exit path cannot change the Estimate —
-// the undrawn symbols of a decided sample never existed.
+// the unread symbols of a decided sample are never observed.
 func TestRunStreamEarlyExitInvariance(t *testing.T) {
 	p := charstring.MustParams(0.2, 0.3)
 	const T = 60
-	full, err := RunStream(Config{N: 8_000, Seed: 3, Workers: 4}, T,
-		thresholdSampler(p), func() StreamVerdict { return &countingStream{T: T} })
+	full, err := RunStreamBlocks(Config{N: 8_000, Seed: 3, Workers: 4}, T,
+		thresholdBlocks(p), counting(T, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	early, err := RunStream(Config{N: 8_000, Seed: 3, Workers: 4}, T,
-		thresholdSampler(p), func() StreamVerdict { return &countingStream{T: T, earlyExit: true} })
+	early, err := RunStreamBlocks(Config{N: 8_000, Seed: 3, Workers: 4}, T,
+		thresholdBlocks(p), counting(T, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,9 +168,9 @@ func TestRunStreamErrorPropagation(t *testing.T) {
 	p := charstring.MustParams(0.3, 0.2)
 	sentinel := errors.New("boom")
 	var calls atomic.Int64
-	_, err := RunStream(Config{N: 100_000, Seed: 9, Workers: 4}, 10,
-		thresholdSampler(p),
-		func() StreamVerdict { return &errStream{calls: &calls, at: 300, err: sentinel} })
+	_, err := RunStreamBlocks(Config{N: 100_000, Seed: 9, Workers: 4}, 10,
+		thresholdBlocks(p),
+		func() blockOf { return blockOf{&errStream{calls: &calls, at: 300, err: sentinel}} })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("expected sentinel error, got %v", err)
 	}
@@ -161,17 +182,17 @@ func TestRunStreamErrorPropagation(t *testing.T) {
 // TestRunStreamEdgeCases: invalid inputs and the empty job.
 func TestRunStreamEdgeCases(t *testing.T) {
 	p := charstring.MustParams(0.3, 0.2)
-	newV := func() StreamVerdict { return &countingStream{T: 10} }
-	if e, err := RunStream(Config{N: 0, Seed: 1}, 10, thresholdSampler(p), newV); err != nil || e.N != 0 {
+	newV := counting(10, false)
+	if e, err := RunStreamBlocks(Config{N: 0, Seed: 1}, 10, thresholdBlocks(p), newV); err != nil || e.N != 0 {
 		t.Fatalf("N=0: %v, %v", e, err)
 	}
-	if _, err := RunStream(Config{N: 10}, 10, nil, newV); err == nil {
+	if _, err := RunStreamBlocks(Config{N: 10}, 10, nil, newV); err == nil {
 		t.Fatal("nil sampler accepted")
 	}
-	if _, err := RunStream(Config{N: 10}, 10, thresholdSampler(p), nil); err == nil {
+	if _, err := RunStreamBlocks[blockOf](Config{N: 10}, 10, thresholdBlocks(p), nil); err == nil {
 		t.Fatal("nil verdict constructor accepted")
 	}
-	if _, err := RunStream(Config{N: 10}, 0, thresholdSampler(p), newV); err == nil {
+	if _, err := RunStreamBlocks(Config{N: 10}, 0, thresholdBlocks(p), newV); err == nil {
 		t.Fatal("T=0 accepted")
 	}
 }

@@ -11,24 +11,24 @@ import (
 )
 
 // This file is the weighted half of the streaming engine: the fused
-// sample–judge loop of RunStream generalized to verdicts that attach an
-// importance weight (a likelihood ratio) to every sample. It exists for
-// the rare-event estimators of package rare — exponential tilting draws
-// from a proposal law and corrects each hit by its accumulated
-// likelihood ratio — and collapses to RunStream semantics when every
-// weight is 1.
+// sample–judge loop generalized to verdicts that attach an importance
+// weight (a likelihood ratio) to every sample. It exists for the
+// rare-event estimators of package rare — exponential tilting draws from
+// a proposal law and corrects each hit by its accumulated likelihood
+// ratio — and collapses to the unweighted semantics when every weight
+// is 1.
 //
 // # Determinism
 //
-// Integer hit counts commute, so RunStream may fold batch results in
-// completion order. Weighted sums are float64 and float addition does not
-// commute bitwise, so RunStreamWeighted pins the fold order instead of the
-// operand type: each batch's partial sums are stored in a slice indexed by
-// batch and reduced in batch order after all workers finish. Together with
-// the per-sample SampleSeed streams (sample i of batch b draws the same
-// symbols whoever runs it) the WeightedEstimate is bit-identical at every
-// worker count, and — exactly as in RunStream — invariant under verdict
-// early exit.
+// Integer hit counts commute, so the unweighted pool may fold batch
+// results in completion order. Weighted sums are float64 and float
+// addition does not commute bitwise, so the weighted pool pins the fold
+// order instead of the operand type: each batch's partial sums are stored
+// in a slice indexed by batch and reduced in batch order after all
+// workers finish. Together with the per-sample SampleSeed streams (sample
+// i of batch b draws the same symbols whoever runs it) the
+// WeightedEstimate is bit-identical at every worker count, and invariant
+// under verdict early exit.
 
 // WeightedStreamVerdict is the weighted counterpart of StreamVerdict. The
 // engine drives it as Begin, then Feed per symbol until either Feed
@@ -50,7 +50,7 @@ import (
 // conditional expected ratio 1 and is independent of the decided verdict.
 //
 // Implementations carry reusable scratch and are NOT safe for concurrent
-// use: RunStreamWeighted gives every worker its own instance.
+// use: the drivers give every worker its own instance.
 type WeightedStreamVerdict interface {
 	// Begin prepares the scratch for a fresh sample and may draw leading
 	// randomness from the sample's stream.
@@ -65,7 +65,7 @@ type WeightedStreamVerdict interface {
 // WeightedEstimate is an importance-sampling frequency estimate: the mean
 // of x_i = weight_i·1{hit_i} with a normal-approximation 95% interval and
 // the effective sample size of the hit weights. It is the result type of
-// RunStreamWeighted and of the rare-event engines built on it.
+// the weighted drivers and of the rare-event engines built on them.
 type WeightedEstimate struct {
 	N     int     // total samples
 	Hits  int     // raw hit count (unweighted)
@@ -129,7 +129,7 @@ type weightedBatch struct {
 	done        bool
 }
 
-// runWeightedPool is the shared engine behind RunStreamWeighted and
+// runWeightedPool is the shared engine behind RunStreamWeightedBlocks and
 // RunWeightedStates: a worker pool over batches where each worker owns
 // one judge closure from newJudge (wrapping its reusable scratch) that
 // consumes a freshly reseeded sample stream and returns the weighted
@@ -235,46 +235,11 @@ func runWeightedPool(cfg Config, newJudge func() func(rng *SM64) (bool, float64,
 	return NewWeightedEstimate(cfg.N, hits, sumW, sumW2), nil
 }
 
-// RunStreamWeighted executes a weighted Monte-Carlo job on the fused
-// streaming loop: cfg.N samples of length (at most) T, drawn
-// symbol-at-a-time from per-sample SampleSeed streams and judged online by
-// per-worker verdicts from newVerdict. The returned WeightedEstimate is
-// bit-identical for every worker count (see the file comment); the first
-// verdict error cancels the remaining batches and is returned. A verdict
-// returning a negative, NaN or infinite weight is reported as an error —
-// a likelihood ratio can never be one, so it indicates a broken proposal.
-func RunStreamWeighted(cfg Config, T int, sample SymbolSampler, newVerdict func() WeightedStreamVerdict) (WeightedEstimate, error) {
-	return RunStreamWeightedOf(cfg, T, sample, newVerdict)
-}
-
-// RunStreamWeightedOf is RunStreamWeighted with the verdict type
-// propagated — the weighted twin of RunStreamOf.
-func RunStreamWeightedOf[V WeightedStreamVerdict](cfg Config, T int, sample SymbolSampler, newVerdict func() V) (WeightedEstimate, error) {
-	if sample == nil || newVerdict == nil {
-		return WeightedEstimate{}, fmt.Errorf("runner: nil sampler or verdict constructor")
-	}
-	if T <= 0 {
-		return WeightedEstimate{}, fmt.Errorf("runner: non-positive sample length %d", T)
-	}
-	return runWeightedPool(cfg, func() func(rng *SM64) (bool, float64, error) {
-		v := newVerdict()
-		return func(rng *SM64) (bool, float64, error) {
-			v.Begin(rng)
-			for t := 1; t <= T; t++ {
-				if v.Feed(sample(rng, t)) {
-					break
-				}
-			}
-			return v.Finish()
-		}
-	})
-}
-
 // RunWeightedStates executes a weighted Monte-Carlo job over self-sampling
 // states: cfg.N samples, each a fresh Begin on the per-worker state from
 // newState followed by Step until done, drawing all randomness from the
 // sample's SampleSeed stream. Same determinism and error contract as
-// RunStreamWeighted.
+// RunStreamWeightedBlocks.
 func RunWeightedStates(cfg Config, newState func() WeightedState) (WeightedEstimate, error) {
 	if newState == nil {
 		return WeightedEstimate{}, fmt.Errorf("runner: nil state constructor")
@@ -288,23 +253,4 @@ func RunWeightedStates(cfg Config, newState func() WeightedState) (WeightedEstim
 			return st.Finish()
 		}
 	})
-}
-
-// UnitWeight adapts an unweighted StreamVerdict to the weighted engine
-// with weight 1 for every sample — the θ = 0 endpoint of the tilting
-// family. RunStreamWeighted over a UnitWeight verdict draws exactly the
-// sample stream RunStream draws and its P equals RunStream's bit for bit
-// (a sum of 1.0s is an exact integer, divided by the same N).
-type UnitWeight struct{ V StreamVerdict }
-
-// Begin implements WeightedStreamVerdict.
-func (u UnitWeight) Begin(*SM64) { u.V.Reset() }
-
-// Feed implements WeightedStreamVerdict.
-func (u UnitWeight) Feed(sym charstring.Symbol) bool { return u.V.Feed(sym) }
-
-// Finish implements WeightedStreamVerdict.
-func (u UnitWeight) Finish() (bool, float64, error) {
-	ok, err := u.V.Finish()
-	return ok, 1, err
 }

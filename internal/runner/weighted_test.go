@@ -31,15 +31,33 @@ func (v *countWeighted) Finish() (bool, float64, error) {
 	return v.a >= v.need, math.Exp(v.c * float64(v.a)), nil
 }
 
+// weightedBlockOf lifts a scalar WeightedStreamVerdict to a
+// WeightedBlockVerdict deciding at the exact scalar index.
+type weightedBlockOf struct{ WeightedStreamVerdict }
+
+func (v weightedBlockOf) FeedBlock(blk *Block, n int) int {
+	for i := 0; i < n; i++ {
+		if v.Feed(blk.Syms[i]) {
+			return i + 1
+		}
+	}
+	return 0
+}
+
+// weighted wraps a verdict constructor for the block driver.
+func weighted(mk func() WeightedStreamVerdict) func() weightedBlockOf {
+	return func() weightedBlockOf { return weightedBlockOf{mk()} }
+}
+
 // TestRunStreamWeightedDeterministicAcrossWorkers: weighted float sums
 // fold in batch order, so the estimate is bit-identical at every worker
 // count and batch scheduling.
 func TestRunStreamWeightedDeterministicAcrossWorkers(t *testing.T) {
 	p := charstring.MustParams(0.3, 0.3)
-	newV := func() WeightedStreamVerdict { return &countWeighted{T: 50, need: 18, c: 0.05} }
+	newV := weighted(func() WeightedStreamVerdict { return &countWeighted{T: 50, need: 18, c: 0.05} })
 	var ref WeightedEstimate
 	for i, workers := range []int{1, 2, 4, 8} {
-		e, err := RunStreamWeighted(Config{N: 20000, Seed: 99, Workers: workers}, 50, thresholdSampler(p), newV)
+		e, err := RunStreamWeightedBlocks(Config{N: 20000, Seed: 99, Workers: workers}, 50, thresholdBlocks(p), newV)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,51 +73,6 @@ func TestRunStreamWeightedDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("degenerate coverage: %+v", ref)
 	}
 }
-
-// TestUnitWeightMatchesRunStream: wrapping an unweighted verdict in
-// UnitWeight reproduces RunStream's estimate bit for bit — same sample
-// streams, unit weights, same P.
-func TestUnitWeightMatchesRunStream(t *testing.T) {
-	p := charstring.MustParams(0.4, 0.2)
-	cfg := Config{N: 30000, Seed: 7, Workers: 3}
-	sample := thresholdSampler(p)
-
-	newPlain := func() StreamVerdict { return &aCounter{T: 40, need: 14} }
-	plain, err := RunStream(cfg, 40, sample, newPlain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	weighted, err := RunStreamWeighted(cfg, 40, sample, func() WeightedStreamVerdict {
-		return UnitWeight{V: &aCounter{T: 40, need: 14}}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if weighted.Hits != plain.Hits || weighted.P != plain.P {
-		t.Fatalf("unit-weighted (%d, %v) != plain (%d, %v)", weighted.Hits, weighted.P, plain.Hits, plain.P)
-	}
-	if weighted.SumW != float64(plain.Hits) {
-		t.Fatalf("SumW %v != %d", weighted.SumW, plain.Hits)
-	}
-	if weighted.ESS != float64(plain.Hits) {
-		t.Fatalf("unit-weight ESS %v != hit count %d", weighted.ESS, plain.Hits)
-	}
-}
-
-// aCounter is the unweighted form of countWeighted for the unit-weight pin.
-type aCounter struct {
-	T, need int
-	a       int
-}
-
-func (v *aCounter) Reset() { v.a = 0 }
-func (v *aCounter) Feed(sym charstring.Symbol) bool {
-	if sym == charstring.Adversarial {
-		v.a++
-	}
-	return v.a >= v.need
-}
-func (v *aCounter) Finish() (bool, error) { return v.a >= v.need, nil }
 
 // walkState is a toy self-sampling state for RunWeightedStates: a biased
 // walk drawn from its own thresholds, hit iff it ends non-negative.
@@ -158,8 +131,8 @@ func (b *badWeight) Finish() (bool, float64, error) { return true, b.w, nil }
 func TestWeightedInvalidWeightRejected(t *testing.T) {
 	p := charstring.MustParams(0.3, 0.3)
 	for _, w := range []float64{-1, math.NaN(), math.Inf(1)} {
-		_, err := RunStreamWeighted(Config{N: 100, Seed: 1}, 5, thresholdSampler(p),
-			func() WeightedStreamVerdict { return &badWeight{w: w} })
+		_, err := RunStreamWeightedBlocks(Config{N: 100, Seed: 1}, 5, thresholdBlocks(p),
+			weighted(func() WeightedStreamVerdict { return &badWeight{w: w} }))
 		if err == nil || !strings.Contains(err.Error(), "invalid importance weight") {
 			t.Fatalf("weight %v: expected invalid-weight error, got %v", w, err)
 		}

@@ -39,7 +39,7 @@ var knownEndpoints = map[string]bool{
 	"/v1/depth": true, "/v1/curve": true, "/v1/failure": true,
 	"/v1/cell": true, "/v1/bracket": true, "/v1/batch": true,
 	"/healthz": true, "/healthz/live": true, "/healthz/ready": true,
-	"/metrics": true, "/debug/vars": true, "/debug/traces": true,
+	"/metrics": true, "/debug/traces": true,
 }
 
 // Endpoint normalizes a request path onto the bounded endpoint label set.
@@ -111,8 +111,9 @@ func Middleware(next http.Handler, m *HTTPMetrics, logger *slog.Logger) http.Han
 // the response, records the (endpoint, status) duration histogram with
 // an exemplar linking the latency bucket to this trace, seals the trace,
 // offers it to the flight recorder, and emits one structured request
-// log line with the trace ID and phase breakdown (suppressed for health
-// probes and metric scrapes).
+// log line with the trace ID and phase breakdown — the root's child
+// spans summed by name (suppressed for health probes and metric
+// scrapes).
 func MiddlewareWith(next http.Handler, cfg MiddlewareConfig) http.Handler {
 	m := cfg.Metrics
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -143,6 +144,7 @@ func MiddlewareWith(next http.Handler, cfg MiddlewareConfig) http.Handler {
 		}
 		kept := cfg.Recorder.Record(tr)
 		if cfg.Logger != nil && !quietPaths[r.URL.Path] {
+			var phases [128]byte
 			cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 				slog.String("trace", tr.ID),
 				slog.String("method", r.Method),
@@ -150,7 +152,7 @@ func MiddlewareWith(next http.Handler, cfg MiddlewareConfig) http.Handler {
 				slog.Int("status", sw.status),
 				slog.Int("bytes", sw.bytes),
 				slog.Duration("elapsed", elapsed),
-				slog.String("phases", tr.PhaseString()),
+				slog.String("phases", string(tr.AppendPhases(phases[:0]))),
 			)
 			if cfg.DebugSpans && cfg.Logger.Enabled(r.Context(), slog.LevelDebug) {
 				logSpans(r, cfg.Logger, tr, kept)

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -16,7 +17,7 @@ func TestMiddlewareMintsAndEchoesTraceID(t *testing.T) {
 	var seen *Trace
 	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		seen = TraceFrom(req.Context())
-		seen.Add(PhaseBuild, 2*time.Millisecond)
+		seen.AddSpan("build", seen.Root(), seen.Start(), 2*time.Millisecond)
 		w.WriteHeader(http.StatusOK)
 	}), m, nil)
 
@@ -83,18 +84,31 @@ func TestMiddlewareRejectsMalformedTraceID(t *testing.T) {
 	}
 }
 
+// TestMiddlewareLogsTraceAndPhases: the request log line's phases field
+// is the root's child spans summed by name — repeated names add up,
+// grandchildren and still-open spans stay out.
 func TestMiddlewareLogsTraceAndPhases(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
 	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		TraceFrom(req.Context()).Add(PhaseExtend, 3*time.Millisecond)
+		tr := TraceFrom(req.Context())
+		root := tr.Root()
+		tr.AddSpan("queue", root, tr.Start(), 41*time.Microsecond)
+		tr.AddSpan("extend", root, tr.Start(), 3*time.Millisecond)
+		fwd := tr.AddSpan("forward", root, tr.Start(), 5*time.Millisecond)
+		tr.AddSpan("forward_attempt", fwd, tr.Start(), 4*time.Millisecond)
+		tr.AddSpan("extend", root, tr.Start(), 1500*time.Microsecond)
+		tr.StartSpan("serialize", root) // never ended: not a phase
 		w.WriteHeader(http.StatusBadRequest)
 	}), nil, logger)
 	req := httptest.NewRequest("GET", "/v1/curve", nil)
 	req.Header.Set(TraceHeader, "aaaabbbbccccdddd")
 	h.ServeHTTP(httptest.NewRecorder(), req)
 	log := buf.String()
-	for _, want := range []string{"trace=aaaabbbbccccdddd", "status=400", "extend=3ms", "path=/v1/curve"} {
+	for _, want := range []string{
+		"trace=aaaabbbbccccdddd", "status=400", "path=/v1/curve",
+		`phases="queue=41µs extend=4.5ms forward=5ms"`,
+	} {
 		if !strings.Contains(log, want) {
 			t.Errorf("log line missing %q: %s", want, log)
 		}
@@ -103,6 +117,34 @@ func TestMiddlewareLogsTraceAndPhases(t *testing.T) {
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz/ready", nil))
 	if strings.Contains(buf.String(), "/healthz/ready") {
 		t.Errorf("probe request was logged: %s", buf.String())
+	}
+}
+
+// nopWriter is a ResponseWriter that allocates nothing of its own.
+type nopWriter struct{ h http.Header }
+
+func (w nopWriter) Header() http.Header         { return w.h }
+func (w nopWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w nopWriter) WriteHeader(int)             {}
+
+// TestRequestLogAllocs bounds the logged request path: the phases field
+// is rendered from the span arena in place, so a request with three
+// phases costs at most the 12 allocations the old phase-timer rendering
+// did.
+func TestRequestLogAllocs(t *testing.T) {
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		tr := TraceFrom(req.Context())
+		tr.AddSpan("queue", tr.Root(), tr.Start(), 41*time.Microsecond)
+		tr.AddSpan("build", tr.Root(), tr.Start(), 12300*time.Microsecond)
+		tr.AddSpan("serialize", tr.Root(), tr.Start(), 88*time.Microsecond)
+	}), nil, logger)
+	req := httptest.NewRequest("GET", "/v1/cell", nil)
+	w := nopWriter{h: http.Header{}}
+	allocs := testing.AllocsPerRun(500, func() { h.ServeHTTP(w, req) })
+	t.Logf("logged request path: %v allocs/op", allocs)
+	if allocs > 12 {
+		t.Fatalf("logged request path: %v allocs/op, want <= 12", allocs)
 	}
 }
 

@@ -5,14 +5,13 @@ import (
 	"time"
 )
 
-// This file grows the flat phase timers of trace.go into a span tree:
-// every unit of request work (queue wait, coalesced wait, DP build,
-// curve extension, peer forward, hedged local compute, serialization)
-// can open a named span with a parent, a start offset, a duration, and
-// a few key=value attributes. The design constraint is the same one the
-// phase array lives under: recording must never allocate and never take
-// a lock, because spans are created on the oracle serve path whose
-// zero-allocation contract is pinned by tests and a CI perf gate.
+// This file is the trace's span tree: every unit of request work (queue
+// wait, coalesced wait, DP build, curve extension, peer forward, hedged
+// local compute, serialization) can open a named span with a parent, a
+// start offset, a duration, and a few key=value attributes. Recording
+// must never allocate and never take a lock, because spans are created
+// on the oracle serve path whose zero-allocation contract is pinned by
+// tests and a CI perf gate.
 //
 // Spans therefore live in a fixed-capacity arena embedded in the Trace
 // itself. A writer reserves a slot with one atomic add, fills the
@@ -143,6 +142,49 @@ func (t *Trace) Root() SpanRef {
 	return SpanRef{tr: t, slot: 1}
 }
 
+// AppendPhases appends the trace's phase breakdown to dst: the
+// durations of the root span's finished children summed by span name,
+// in first-seen order, e.g. "queue=41µs build=12.3ms serialize=88µs".
+// Nothing is appended when no child has finished. It reads the arena in
+// place — no Snapshot copy — and allocates only each duration's text.
+func (t *Trace) AppendPhases(dst []byte) []byte {
+	if t == nil {
+		return dst
+	}
+	n := min(t.nspans.Load(), MaxSpans)
+	var names [MaxSpans]string
+	var sums [MaxSpans]time.Duration
+	k := 0
+	for i := int32(0); i < n; i++ {
+		sp := &t.spans[i]
+		if sp.state.Load() == 0 || sp.parent != 1 {
+			continue
+		}
+		d := time.Duration(sp.durNS.Load())
+		if d <= 0 {
+			continue
+		}
+		j := 0
+		for j < k && names[j] != sp.name {
+			j++
+		}
+		if j == k {
+			names[k] = sp.name
+			k++
+		}
+		sums[j] += d
+	}
+	for j := 0; j < k; j++ {
+		if j > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, names[j]...)
+		dst = append(dst, '=')
+		dst = append(dst, sums[j].String()...)
+	}
+	return dst
+}
+
 // End closes the span with a duration measured from its start.
 // Idempotent-enough: a second End overwrites the duration. Safe (and
 // meaningful) after the trace is sealed — a hedged local compute may
@@ -232,14 +274,13 @@ type SpanSnapshot struct {
 // TraceSnapshot is a consistent copy of one trace for JSON export —
 // the /debug/traces payload element. Allocates; scrape-path only.
 type TraceSnapshot struct {
-	ID           string           `json:"id"`
-	Start        time.Time        `json:"start"`
-	DurNS        int64            `json:"dur_ns"` // 0 while unfinished
-	Seq          uint64           `json:"seq,omitempty"`
-	Flags        []string         `json:"flags,omitempty"`
-	DroppedSpans int64            `json:"dropped_spans,omitempty"`
-	Phases       map[string]int64 `json:"phases,omitempty"`
-	Spans        []SpanSnapshot   `json:"spans"`
+	ID           string         `json:"id"`
+	Start        time.Time      `json:"start"`
+	DurNS        int64          `json:"dur_ns"` // 0 while unfinished
+	Seq          uint64         `json:"seq,omitempty"`
+	Flags        []string       `json:"flags,omitempty"`
+	DroppedSpans int64          `json:"dropped_spans,omitempty"`
+	Spans        []SpanSnapshot `json:"spans"`
 }
 
 // Snapshot renders the trace — possibly still being written to by a
@@ -257,14 +298,6 @@ func (t *Trace) Snapshot() TraceSnapshot {
 		Seq:          t.seq.Load(),
 		Flags:        t.flagNames(),
 		DroppedSpans: t.droppedSpans.Load(),
-	}
-	for p := Phase(0); p < NumPhases; p++ {
-		if d := t.phases[p].Load(); d != 0 {
-			if out.Phases == nil {
-				out.Phases = make(map[string]int64, int(NumPhases))
-			}
-			out.Phases[phaseNames[p]] = d
-		}
 	}
 	n := t.nspans.Load()
 	if n > MaxSpans {

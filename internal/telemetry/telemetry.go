@@ -1,16 +1,16 @@
 // Package telemetry is the repo's zero-dependency observability kernel:
 // a metrics registry (atomic counters, float gauges, fixed-bucket latency
 // histograms) with Prometheus text exposition, plus lightweight per-request
-// tracing (trace IDs propagated across cluster forwards, a fixed-phase
-// timer attributing a request to queue/coalesce-wait/build/extend/forward/
+// tracing (trace IDs propagated across cluster forwards, a span tree
+// attributing a request to queue/coalesce-wait/build/extend/forward/
 // serialize spans).
 //
 // # Hot-path contract
 //
 // Recording is lock-free and allocation-free: Counter.Add and Gauge.Set are
 // single atomic operations, Histogram.Observe is a bounded linear scan over
-// the bucket bounds plus two atomics, and Trace.Add is one atomic add into
-// a fixed array. All recording methods are nil-receiver-safe, so
+// the bucket bounds plus two atomics, and Trace.AddSpan claims one slot of
+// a fixed arena. All recording methods are nil-receiver-safe, so
 // uninstrumented code paths pay one nil check and no branches at call
 // sites. Registration (Counter, Gauge, Histogram, Vec.With) takes locks
 // and allocates; do it at startup, never per sample. These properties are

@@ -167,7 +167,7 @@ func TestRecordingZeroAllocs(t *testing.T) {
 		"gauge_add":     func() { g.Add(1) },
 		"hist_observe":  func() { h.Observe(0.003) },
 		"hist_duration": func() { h.ObserveDuration(3 * time.Millisecond) },
-		"trace_add":     func() { tr.Add(PhaseBuild, time.Millisecond) },
+		"trace_span":    func() { tr.AddSpan("build", SpanRef{}, tr.Start(), time.Millisecond) },
 	}
 	for name, f := range cases {
 		if allocs := testing.AllocsPerRun(200, f); allocs != 0 {

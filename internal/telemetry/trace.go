@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -43,41 +42,6 @@ func NewTraceID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Phase names one span of a request's life. The set is fixed so a Trace
-// is one cache line of atomic counters, not a growing span list.
-type Phase uint8
-
-const (
-	// PhaseQueue is edge arrival to the start of oracle work: routing,
-	// parameter parsing, and any wait before the query proper begins.
-	PhaseQueue Phase = iota
-	// PhaseCoalesceWait is time blocked on another goroutine's in-flight
-	// build or extension of the same cache entry.
-	PhaseCoalesceWait
-	// PhaseBuild is cold DP construction (first steps of a chain).
-	PhaseBuild
-	// PhaseExtend is incremental extension of an already-built curve.
-	PhaseExtend
-	// PhaseForward is time spent waiting on a peer replica's answer.
-	PhaseForward
-	// PhaseSerialize is JSON encoding of the response body.
-	PhaseSerialize
-	// NumPhases bounds the phase enum.
-	NumPhases
-)
-
-var phaseNames = [NumPhases]string{
-	"queue", "coalesce_wait", "build", "extend", "forward", "serialize",
-}
-
-// String returns the snake_case phase name used in logs and metrics.
-func (p Phase) String() string {
-	if p < NumPhases {
-		return phaseNames[p]
-	}
-	return "unknown"
-}
-
 // Flag marks a trace as interesting to the flight recorder's tail
 // sampler: flagged traces are always kept, unflagged ones only
 // probabilistically (see Recorder).
@@ -110,11 +74,10 @@ var flagNameTab = []struct {
 	{FlagBreaker, "breaker"}, {FlagForce, "forced"},
 }
 
-// Trace is one request's identity, phase breakdown, and span tree.
-// Recording is atomic writes into fixed arrays — no locks, no
-// allocation — and safe from the hedge race's concurrent goroutines. A
-// nil *Trace discards all recordings, so instrumented code needs no
-// call-site branches.
+// Trace is one request's identity and span tree. Recording is atomic
+// writes into a fixed arena — no locks, no allocation — and safe from
+// the hedge race's concurrent goroutines. A nil *Trace discards all
+// recordings, so instrumented code needs no call-site branches.
 //
 // Traces are allocated fresh per request and must never be pooled: a
 // hedged local compute runs under context.WithoutCancel and may keep
@@ -122,9 +85,8 @@ var flagNameTab = []struct {
 // the arena so those late writes drop instead of landing in a
 // recycled request.
 type Trace struct {
-	ID     string
-	start  time.Time
-	phases [NumPhases]atomic.Int64
+	ID    string
+	start time.Time
 
 	flags atomic.Uint32
 	durNS atomic.Int64  // end-to-end duration, set once by Finish
@@ -149,54 +111,6 @@ func (t *Trace) Start() time.Time {
 		return time.Time{}
 	}
 	return t.start
-}
-
-// Add accrues d into phase p.
-func (t *Trace) Add(p Phase, d time.Duration) {
-	if t == nil || p >= NumPhases || d <= 0 {
-		return
-	}
-	t.phases[p].Add(int64(d))
-}
-
-// MarkQueueDone records PhaseQueue as the time elapsed since the trace
-// started; handlers call it once, just before oracle work begins.
-func (t *Trace) MarkQueueDone() {
-	if t == nil {
-		return
-	}
-	t.Add(PhaseQueue, time.Since(t.start))
-}
-
-// Get returns the accrued duration of phase p.
-func (t *Trace) Get(p Phase) time.Duration {
-	if t == nil || p >= NumPhases {
-		return 0
-	}
-	return time.Duration(t.phases[p].Load())
-}
-
-// PhaseString renders the non-zero phases compactly for structured logs,
-// e.g. "queue=41µs build=12.3ms serialize=88µs". Empty when nothing was
-// recorded. Allocates; call on the logging path only.
-func (t *Trace) PhaseString() string {
-	if t == nil {
-		return ""
-	}
-	var b strings.Builder
-	for p := Phase(0); p < NumPhases; p++ {
-		d := time.Duration(t.phases[p].Load())
-		if d == 0 {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(phaseNames[p])
-		b.WriteByte('=')
-		b.WriteString(d.String())
-	}
-	return b.String()
 }
 
 // SetFlag marks the trace for the tail sampler. Atomic; nil-safe.

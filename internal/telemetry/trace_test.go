@@ -3,7 +3,6 @@ package telemetry
 import (
 	"context"
 	"regexp"
-	"strings"
 	"testing"
 	"time"
 )
@@ -23,36 +22,25 @@ func TestTraceIDFormat(t *testing.T) {
 	}
 }
 
+// TestTracePhases: the phase breakdown sums the root's finished child
+// spans by name in first-seen order, skipping zero-length and open spans.
 func TestTracePhases(t *testing.T) {
 	tr := NewTrace("abc")
 	if tr.ID != "abc" {
 		t.Fatalf("ID = %q", tr.ID)
 	}
-	tr.Add(PhaseBuild, 3*time.Millisecond)
-	tr.Add(PhaseBuild, 2*time.Millisecond)
-	tr.Add(PhaseExtend, time.Millisecond)
-	tr.Add(PhaseExtend, -time.Second) // ignored
-	if got := tr.Get(PhaseBuild); got != 5*time.Millisecond {
-		t.Fatalf("build phase = %v, want 5ms", got)
+	if got := string(tr.AppendPhases(nil)); got != "" {
+		t.Fatalf("phases before any span = %q, want empty", got)
 	}
-	if got := tr.Get(PhaseExtend); got != time.Millisecond {
-		t.Fatalf("extend phase = %v, want 1ms", got)
-	}
-	s := tr.PhaseString()
-	if !strings.Contains(s, "build=5ms") || !strings.Contains(s, "extend=1ms") {
-		t.Fatalf("PhaseString = %q", s)
-	}
-	if strings.Contains(s, "queue") {
-		t.Fatalf("PhaseString reports untouched phase: %q", s)
-	}
-}
-
-func TestMarkQueueDone(t *testing.T) {
-	tr := NewTrace("")
-	time.Sleep(2 * time.Millisecond)
-	tr.MarkQueueDone()
-	if got := tr.Get(PhaseQueue); got < time.Millisecond {
-		t.Fatalf("queue phase %v, want ≥ 1ms", got)
+	root := tr.StartSpan("request", SpanRef{})
+	tr.AddSpan("build", root, tr.Start(), 3*time.Millisecond)
+	tr.AddSpan("extend", root, tr.Start(), time.Millisecond)
+	tr.AddSpan("build", root, tr.Start(), 2*time.Millisecond)
+	tr.AddSpan("queue", root, tr.Start(), 0)                  // zero: omitted
+	tr.StartSpan("serialize", root)                           // open: omitted
+	tr.AddSpan("forward", SpanRef{}, tr.Start(), time.Second) // not under the root
+	if got := string(tr.AppendPhases([]byte("phases: "))); got != "phases: build=5ms extend=1ms" {
+		t.Fatalf("AppendPhases = %q", got)
 	}
 }
 
@@ -69,25 +57,7 @@ func TestTraceContext(t *testing.T) {
 
 func TestNilTraceInert(t *testing.T) {
 	var tr *Trace
-	tr.Add(PhaseBuild, time.Second)
-	tr.MarkQueueDone()
-	if tr.Get(PhaseBuild) != 0 || tr.PhaseString() != "" || !tr.Start().IsZero() {
+	if len(tr.AppendPhases(nil)) != 0 || !tr.Start().IsZero() {
 		t.Fatal("nil trace must be inert")
-	}
-}
-
-func TestPhaseNames(t *testing.T) {
-	want := map[Phase]string{
-		PhaseQueue: "queue", PhaseCoalesceWait: "coalesce_wait",
-		PhaseBuild: "build", PhaseExtend: "extend",
-		PhaseForward: "forward", PhaseSerialize: "serialize",
-	}
-	for p, name := range want {
-		if p.String() != name {
-			t.Errorf("phase %d = %q, want %q", p, p.String(), name)
-		}
-	}
-	if Phase(200).String() != "unknown" {
-		t.Error("out-of-range phase must stringify as unknown")
 	}
 }
