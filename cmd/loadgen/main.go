@@ -11,10 +11,11 @@
 //	        [-seed 1] [-json] [-verify 0] [-scrape] [-traces]
 //	        [-chaos -serve-bin ./serve] [-min-success 0.99] [-diagdir dir]
 //
-// With -verify F, a fraction F of completed requests is sampled and the
-// answers recomputed on a local cold oracle; any float that is not
-// bitwise identical fails the run. Wrong answers are never tolerated,
-// at any error rate.
+// With -verify F, a fraction F of completed requests is sampled and each
+// sampled query replayed through a cold in-process oracle server; a
+// status or body that differs by one byte fails the run. The encoder
+// prints every float exactly, so equal bodies mean bitwise-equal answers.
+// Wrong answers are never tolerated, at any error rate.
 //
 // With -scrape, loadgen reads the target's /metrics before and after the
 // run and folds the server's own view of the window into the report:
@@ -50,21 +51,19 @@
 package main
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -73,7 +72,6 @@ import (
 	"time"
 
 	"multihonest/internal/oracle"
-	"multihonest/internal/settlement"
 	"multihonest/internal/telemetry"
 )
 
@@ -86,20 +84,10 @@ type point struct {
 	alpha, frac float64
 }
 
-// querySpec is the machine-readable form of one request, kept alongside
-// sampled responses so the verifier can recompute the answer locally.
-type querySpec struct {
-	op          string
-	alpha, frac float64
-	k           int
-	target      float64
-	kmax        int
-	tau         float64
-}
-
-// sample is one completed request retained for offline verification.
+// sample is one completed request retained for offline verification:
+// the request path and query, and the status and body it was served.
 type sample struct {
-	spec   querySpec
+	path   string
 	status int
 	body   []byte
 }
@@ -197,7 +185,7 @@ func main() {
 	ops := flag.String("ops", "cell,curve,failure,depth,bracket", "comma-separated op mix")
 	seed := flag.Int64("seed", 1, "key-universe and traffic seed")
 	asJSON := flag.Bool("json", false, "emit the report as JSON")
-	verify := flag.Float64("verify", 0, "fraction of answers recomputed locally and compared bitwise")
+	verify := flag.Float64("verify", 0, "fraction of answers replayed on a cold local oracle server and compared byte for byte")
 	scrape := flag.Bool("scrape", false, "scrape the target's /metrics around the run and fold server-side latency and cluster counters into the report")
 	traces := flag.Bool("traces", false, "pull the targets' flight recorders after the run and report the slowest request's span tree")
 	chaos := flag.Bool("chaos", false, "spawn a 2-replica cluster and kill/restart one mid-run")
@@ -221,9 +209,12 @@ func main() {
 		if *serveBin == "" {
 			fatal("-chaos requires -serve-bin")
 		}
-		cl := startCluster(*serveBin, *diagdir)
+		// Tear down from the first launch on: a replica that fails to
+		// boot must not orphan the one already running.
+		cl := &cluster{bin: *serveBin, diagdir: *diagdir}
 		teardown = cl.stop
 		defer cl.stop()
+		cl.start()
 		target = cl.survivorURL()
 		traceTargets = cl.urls
 		go func() {
@@ -265,20 +256,20 @@ func main() {
 			for time.Now().Before(deadline) {
 				p := universe[zipf.Uint64()]
 				op := opList[rng.Intn(len(opList))]
-				url, spec := queryURL(target, op, p, rng, *kmax)
+				path := queryPath(op, p, rng, *kmax)
 				trace := telemetry.NewTraceID()
 				t0 := time.Now()
-				status, body, err := get(client, url, trace)
+				status, body, err := get(client, target+path, trace)
 				res.latencies = append(res.latencies, time.Since(t0).Seconds())
 				if err != nil {
 					res.errors++
 					if res.firstErr == nil {
-						res.firstErr = fmt.Errorf("%s (trace %s): %w", url, trace, err)
+						res.firstErr = fmt.Errorf("%s%s (trace %s): %w", target, path, trace, err)
 					}
 					continue
 				}
 				if *verify > 0 && rng.Float64() < *verify && sampled.Add(1) <= maxVerifySamples {
-					res.samples = append(res.samples, sample{spec: spec, status: status, body: body})
+					res.samples = append(res.samples, sample{path: path, status: status, body: body})
 				}
 			}
 		}(w)
@@ -398,7 +389,7 @@ func main() {
 		fatal("no request completed")
 	}
 	if mismatches > 0 {
-		fatal("verified answers differ from the local cold compute",
+		fatal("verified answers differ from the local cold replay",
 			"mismatches", mismatches, "verified", verified, "first", firstMismatch)
 	}
 	if *chaos {
@@ -558,15 +549,15 @@ func makeUniverse(n int, seed int64) []point {
 	return pts
 }
 
-// queryURL builds one request against the point. Horizons are drawn hot:
-// most queries reuse the deepest horizon so cached curves serve them
-// without extension, a spread of shallower ones reads the same curve.
-func queryURL(base, op string, p point, rng *rand.Rand, kmax int) (string, querySpec) {
+// queryPath builds one request path and query against the point.
+// Horizons are drawn hot: most queries reuse the deepest horizon so
+// cached curves serve them without extension, a spread of shallower ones
+// reads the same curve.
+func queryPath(op string, p point, rng *rand.Rand, kmax int) string {
 	k := kmax
 	if rng.Intn(4) == 0 {
 		k = 1 + rng.Intn(kmax)
 	}
-	spec := querySpec{op: op, alpha: p.alpha, frac: p.frac, k: k}
 	switch op {
 	case "depth":
 		// Targets must be reachable inside the search bound: the certified
@@ -579,20 +570,15 @@ func queryURL(base, op string, p point, rng *rand.Rand, kmax int) (string, query
 			if p.alpha <= 0.30 {
 				target = []float64{1e-4, 1e-6}[rng.Intn(2)]
 			}
-			spec.target, spec.kmax = target, max(16*kmax, 3200)
-			return fmt.Sprintf("%s/v1/depth?alpha=%g&frac=%g&target=%g&kmax=%d",
-				base, p.alpha, p.frac, target, spec.kmax), spec
+			return fmt.Sprintf("/v1/depth?alpha=%g&frac=%g&target=%g&kmax=%d",
+				p.alpha, p.frac, target, max(16*kmax, 3200))
 		}
-	case "curve":
-		return fmt.Sprintf("%s/v1/curve?alpha=%g&frac=%g&k=%d", base, p.alpha, p.frac, k), spec
-	case "failure":
-		return fmt.Sprintf("%s/v1/failure?alpha=%g&frac=%g&k=%d", base, p.alpha, p.frac, k), spec
+	case "curve", "failure":
+		return fmt.Sprintf("/v1/%s?alpha=%g&frac=%g&k=%d", op, p.alpha, p.frac, k)
 	case "bracket":
-		spec.tau = 1e-30
-		return fmt.Sprintf("%s/v1/bracket?alpha=%g&frac=%g&k=%d&tau=1e-30", base, p.alpha, p.frac, k), spec
+		return fmt.Sprintf("/v1/bracket?alpha=%g&frac=%g&k=%d&tau=1e-30", p.alpha, p.frac, k)
 	}
-	spec.op = "cell"
-	return fmt.Sprintf("%s/v1/cell?alpha=%g&frac=%g&k=%d", base, p.alpha, p.frac, k), spec
+	return fmt.Sprintf("/v1/cell?alpha=%g&frac=%g&k=%d", p.alpha, p.frac, k)
 }
 
 // get issues one request carrying the given trace ID, draining the body
@@ -617,95 +603,22 @@ func get(client *http.Client, url, trace string) (int, []byte, error) {
 	return resp.StatusCode, body, nil
 }
 
-// verifySamples recomputes each sampled answer on a local cold oracle
-// and compares bitwise. Go's JSON float64 round-trip is exact, so a
-// served answer equals the local one iff every float matches to the bit
-// — the cross-replica / snapshot / fallback identity contract.
+// verifySamples replays each sampled query through a cold in-process
+// oracle server and compares status and body byte for byte — the
+// cross-replica / snapshot / fallback identity contract.
 func verifySamples(samples []sample) (verified, mismatches int, firstErr error) {
 	if len(samples) == 0 {
 		return 0, 0, nil
 	}
-	o := oracle.New(0)
-	ctx := context.Background()
-	fail := func(s sample, format string, args ...any) {
-		mismatches++
-		if firstErr == nil {
-			firstErr = fmt.Errorf("%s alpha=%g frac=%g k=%d: %s",
-				s.spec.op, s.spec.alpha, s.spec.frac, s.spec.k, fmt.Sprintf(format, args...))
-		}
-	}
+	h := oracle.NewServer(oracle.New(0), 0).Handler()
 	for _, s := range samples {
 		verified++
-		ph := s.spec.frac * (1 - s.spec.alpha)
-		switch s.spec.op {
-		case "cell", "failure":
-			var got struct {
-				P float64 `json:"p"`
-			}
-			if err := json.Unmarshal(s.body, &got); err != nil {
-				fail(s, "bad body: %v", err)
-				continue
-			}
-			var want float64
-			var err error
-			if s.spec.op == "cell" {
-				want, err = o.TableCellCtx(ctx, s.spec.frac, s.spec.k, s.spec.alpha)
-			} else {
-				want, err = o.SettlementFailureCtx(ctx, s.spec.alpha, ph, s.spec.k)
-			}
-			if err != nil {
-				fail(s, "local compute: %v", err)
-			} else if math.Float64bits(got.P) != math.Float64bits(want) {
-				fail(s, "served %v, local %v", got.P, want)
-			}
-		case "curve":
-			var got struct {
-				Curve []float64 `json:"curve"`
-			}
-			if err := json.Unmarshal(s.body, &got); err != nil {
-				fail(s, "bad body: %v", err)
-				continue
-			}
-			want, err := o.SettlementCurveCtx(ctx, s.spec.alpha, ph, s.spec.k)
-			if err != nil {
-				fail(s, "local compute: %v", err)
-			} else if !slices.Equal(got.Curve, want) {
-				fail(s, "curve differs (len %d vs %d)", len(got.Curve), len(want))
-			}
-		case "bracket":
-			var got struct {
-				Lower float64 `json:"lower"`
-				Upper float64 `json:"upper"`
-			}
-			if err := json.Unmarshal(s.body, &got); err != nil {
-				fail(s, "bad body: %v", err)
-				continue
-			}
-			lo, hi, err := o.SettlementBracketCtx(ctx, s.spec.alpha, ph, s.spec.k, s.spec.tau)
-			if err != nil {
-				fail(s, "local compute: %v", err)
-			} else if math.Float64bits(got.Lower) != math.Float64bits(lo) || math.Float64bits(got.Upper) != math.Float64bits(hi) {
-				fail(s, "served [%v,%v], local [%v,%v]", got.Lower, got.Upper, lo, hi)
-			}
-		case "depth":
-			want, err := o.ConfirmationDepthCtx(ctx, s.spec.alpha, ph, s.spec.target, s.spec.kmax)
-			if s.status == http.StatusUnprocessableEntity {
-				if !errors.Is(err, settlement.ErrTargetUnreachable) {
-					fail(s, "served 422 but local compute gave depth %d, err %v", want, err)
-				}
-				continue
-			}
-			var got struct {
-				Depth int `json:"depth"`
-			}
-			if jerr := json.Unmarshal(s.body, &got); jerr != nil {
-				fail(s, "bad body: %v", jerr)
-				continue
-			}
-			if err != nil {
-				fail(s, "local compute: %v", err)
-			} else if got.Depth != want {
-				fail(s, "served depth %d, local %d", got.Depth, want)
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, s.path, nil))
+		if rr.Code != s.status || !bytes.Equal(rr.Body.Bytes(), s.body) {
+			mismatches++
+			if firstErr == nil {
+				firstErr = fmt.Errorf("%s: served %d %q, cold replay %d %q", s.path, s.status, s.body, rr.Code, rr.Body.Bytes())
 			}
 		}
 	}
@@ -736,10 +649,9 @@ type cluster struct {
 	done    []chan struct{} // closed when procs[i] is reaped
 }
 
-// startCluster reserves two ports, boots both replicas, and waits until
-// both are ready.
-func startCluster(bin, diagdir string) *cluster {
-	cl := &cluster{bin: bin, diagdir: diagdir}
+// start reserves two ports, boots both replicas, and waits until both
+// are ready.
+func (cl *cluster) start() {
 	var err error
 	cl.dir, err = os.MkdirTemp("", "loadgen-chaos-*")
 	if err != nil {
@@ -762,7 +674,6 @@ func startCluster(bin, diagdir string) *cluster {
 		cl.awaitReady(i, 15*time.Second)
 	}
 	logger.Info("chaos cluster up", "survivor", cl.urls[0], "victim", cl.urls[1])
-	return cl
 }
 
 // launch (re)starts replica i. The victim gets a snapshot so its
@@ -796,9 +707,11 @@ func (cl *cluster) launch(i int) {
 	}()
 }
 
+// awaitReady polls replica i's readiness probe until it answers 200. A
+// replica that exits first, or is not ready within timeout, is fatal.
 func (cl *cluster) awaitReady(i int, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
+	deadline := time.After(timeout)
+	for {
 		resp, err := http.Get(cl.urls[i] + "/healthz/ready")
 		if err == nil {
 			resp.Body.Close()
@@ -806,9 +719,14 @@ func (cl *cluster) awaitReady(i int, timeout time.Duration) {
 				return
 			}
 		}
-		time.Sleep(20 * time.Millisecond)
+		select {
+		case <-cl.done[i]:
+			fatal("replica exited before it became ready", "replica", i, "url", cl.urls[i])
+		case <-deadline:
+			fatal("replica never became ready", "replica", i, "url", cl.urls[i])
+		case <-time.After(20 * time.Millisecond):
+		}
 	}
-	fatal("replica never became ready", "replica", i, "url", cl.urls[i])
 }
 
 func (cl *cluster) survivorURL() string { return cl.urls[0] }

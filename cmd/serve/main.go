@@ -60,8 +60,7 @@
 //	GET  /v1/cell?alpha=0.30&frac=0.25&k=400
 //	GET  /v1/bracket?alpha=0.25&frac=0.5&k=200&tau=1e-30
 //	POST /v1/batch              {"queries":[{"op":"cell",...},...]}
-//	GET  /healthz               liveness + cache gauge
-//	GET  /healthz/live          bare liveness probe
+//	GET  /healthz/live          liveness probe
 //	GET  /healthz/ready         readiness (503 while booting/draining)
 //	GET  /metrics               Prometheus text exposition (with exemplars):
 //	                            cache, snapshot, cluster and HTTP counters

@@ -70,6 +70,26 @@ func (q *BatchQuery) ph() (float64, error) {
 	}
 }
 
+// validate runs the single-query checks of the query's op — the ones the
+// GET path runs — so an invalid query is rejected before its chain is
+// looked up and can neither create nor evict a cache entry.
+func (q *BatchQuery) validate() error {
+	switch q.Op {
+	case "depth":
+		return validDepth(q.Target, q.KMax)
+	case "cell":
+		if q.Frac != nil { // a missing frac is ph's error
+			if err := validFrac(*q.Frac); err != nil {
+				return err
+			}
+		}
+		return validHorizon(q.K)
+	case "curve", "failure", "bracket":
+		return validHorizon(q.K)
+	}
+	return fmt.Errorf("oracle: unknown op %q", q.Op)
+}
+
 // tau returns the pruning threshold of the chain the query reads (only
 // bracket queries run on pruned chains).
 func (q *BatchQuery) tau() float64 {
@@ -122,13 +142,9 @@ func (o *Oracle) BatchCtx(ctx context.Context, queries []BatchQuery, workers int
 	var order []*group
 	for i, q := range queries {
 		out[i].Op = q.Op
-		// Horizon-carrying ops must validate before their K can drive the
-		// group extension below.
-		if k := queryHorizon(&queries[i]); k != 0 {
-			if err := validHorizon(k); err != nil {
-				out[i].Error = err.Error()
-				continue
-			}
+		if err := q.validate(); err != nil {
+			out[i].Error = err.Error()
+			continue
 		}
 		ph, err := q.ph()
 		if err != nil {
@@ -150,11 +166,11 @@ func (o *Oracle) BatchCtx(ctx context.Context, queries []BatchQuery, workers int
 			order = append(order, g)
 		}
 		g.indices = append(g.indices, i)
-		if k := queryHorizon(&queries[i]); k > g.maxK {
-			g.maxK = k
-			if k > plan.MaxK {
-				plan.MaxK = k
-			}
+		// Depth queries drive their own upper-curve extension; every
+		// other op reads the main curve at K.
+		if q.Op != "depth" && q.K > g.maxK {
+			g.maxK = q.K
+			plan.MaxK = max(plan.MaxK, q.K)
 		}
 	}
 	plan.Groups = len(order)
@@ -185,55 +201,29 @@ func (o *Oracle) BatchCtx(ctx context.Context, queries []BatchQuery, workers int
 	return out, plan, err
 }
 
-// queryHorizon returns the main-curve horizon a query needs pre-extended
-// (0 for depth queries, which drive their own upper-curve extension).
-func queryHorizon(q *BatchQuery) int {
-	switch q.Op {
-	case "curve", "failure", "bracket", "cell":
-		return q.K
-	default:
-		return 0
-	}
-}
-
-// answerLocked serves one planned query from the group's entry; the caller
-// holds the entry lock and has already extended the main curve to the
-// group's deepest horizon.
+// answerLocked serves one planned, validated query from the group's
+// entry; the caller holds the entry lock and has already extended the
+// main curve to the group's deepest horizon.
 func (o *Oracle) answerLocked(e *entry, q *BatchQuery, res *BatchResult, tr *telemetry.Trace) {
-	fail := func(err error) { res.Error = err.Error() }
 	switch q.Op {
 	case "depth":
 		o.depthQ.Add(1)
 		d, err := o.depthLocked(e, q.Target, q.KMax, tr)
 		if err != nil {
-			fail(err)
+			res.Error = err.Error()
 			return
 		}
 		res.Depth = d
 	case "curve":
 		o.curveQ.Add(1)
-		if q.K < 1 {
-			fail(fmt.Errorf("oracle: k = %d must be ≥ 1", q.K))
-			return
-		}
 		res.Curve = e.curve.ValuesUpTo(q.K)
 	case "failure", "cell":
 		o.cellQ.Add(1)
-		if q.K < 1 {
-			fail(fmt.Errorf("oracle: k = %d must be ≥ 1", q.K))
-			return
-		}
 		p := e.curve.Lower(q.K)
 		res.P = &p
 	case "bracket":
 		o.bracketQ.Add(1)
-		if q.K < 1 {
-			fail(fmt.Errorf("oracle: k = %d must be ≥ 1", q.K))
-			return
-		}
 		lo, hi := e.curve.Bracket(q.K)
 		res.Lower, res.Upper = &lo, &hi
-	default:
-		fail(fmt.Errorf("oracle: unknown op %q", q.Op))
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"maps"
 	"math/rand"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -263,28 +265,15 @@ func (c *Cluster) owner(key string) string {
 // query. Malformed parameters return ok=false and are served locally,
 // where they earn their 400 without a network hop.
 func chainKeyOf(r *http.Request) (string, bool) {
-	if r.Method != http.MethodGet {
+	op, ok := strings.CutPrefix(r.URL.Path, "/v1/")
+	if r.Method != http.MethodGet || !ok || !slices.Contains(getOps, op) {
 		return "", false
 	}
-	var alpha, ph float64
-	var err error
-	switch r.URL.Path {
-	case "/v1/depth", "/v1/curve", "/v1/failure", "/v1/bracket":
-		alpha, ph, err = params(r)
-	case "/v1/cell":
-		var frac float64
-		if alpha, err = qfloat(r, "alpha"); err == nil {
-			if frac, err = qfloat(r, "frac"); err == nil {
-				ph = frac * (1 - alpha)
-			}
-		}
-	default:
-		return "", false
-	}
+	q, err := parseQuery(op, r.URL.Query())
 	if err != nil {
 		return "", false
 	}
-	key, _, err := Canonicalize(alpha, ph, 0)
+	key, _, err := Canonicalize(q.alpha, q.ph, 0)
 	if err != nil {
 		return "", false
 	}

@@ -367,6 +367,26 @@ func validHorizon(k int) error {
 	return nil
 }
 
+// validFrac guards a Table-1 cell's honest fraction.
+func validFrac(frac float64) error {
+	if !(frac >= 0 && frac <= 1) { // positive form also rejects NaN
+		return fmt.Errorf("oracle: honest fraction %v outside [0, 1]", frac)
+	}
+	return nil
+}
+
+// validDepth guards a confirmation-depth search's target and kmax; the
+// GET and batch paths both run it before touching the cache.
+func validDepth(target float64, kmax int) error {
+	if !(target > 0 && target < 1) { // positive form also rejects NaN
+		return fmt.Errorf("oracle: target %v outside (0,1)", target)
+	}
+	if kmax < 1 || kmax > MaxDepthKMax {
+		return fmt.Errorf("oracle: kmax %d outside [1, %d]", kmax, MaxDepthKMax)
+	}
+	return nil
+}
+
 // SettlementCurveCtx returns the exact violation probability for every
 // horizon 1..k at parameter point (α, ph) — core.Analyzer.SettlementCurve
 // served from the cache. DP and lock-wait time are recorded as spans of
@@ -414,8 +434,8 @@ func (o *Oracle) SettlementFailureCtx(ctx context.Context, alpha, ph float64, k 
 // coordinates — honest fraction Pr[h]/(1−α), horizon k, column α —
 // traced through ctx.
 func (o *Oracle) TableCellCtx(ctx context.Context, frac float64, k int, alpha float64) (float64, error) {
-	if !(frac >= 0 && frac <= 1) { // positive form also rejects NaN
-		return 0, fmt.Errorf("oracle: honest fraction %v outside [0, 1]", frac)
+	if err := validFrac(frac); err != nil {
+		return 0, err
 	}
 	return o.SettlementFailureCtx(ctx, alpha, frac*(1-alpha), k)
 }
@@ -450,11 +470,8 @@ func (o *Oracle) SettlementBracketCtx(ctx context.Context, alpha, ph float64, k 
 // lattice steps. Traced through ctx.
 func (o *Oracle) ConfirmationDepthCtx(ctx context.Context, alpha, ph, target float64, kmax int) (int, error) {
 	o.depthQ.Add(1)
-	if !(target > 0 && target < 1) { // positive form also rejects NaN
-		return 0, fmt.Errorf("oracle: target %v outside (0,1)", target)
-	}
-	if kmax < 1 || kmax > MaxDepthKMax {
-		return 0, fmt.Errorf("oracle: kmax %d outside [1, %d]", kmax, MaxDepthKMax)
+	if err := validDepth(target, kmax); err != nil {
+		return 0, err
 	}
 	tr := telemetry.TraceFrom(ctx)
 	e, err := o.lookup(alpha, ph, 0, tr)
@@ -466,13 +483,10 @@ func (o *Oracle) ConfirmationDepthCtx(ctx context.Context, alpha, ph, target flo
 	return o.depthLocked(e, target, kmax, tr)
 }
 
-// depthLocked runs the doubling search under the entry lock; it is shared
-// by ConfirmationDepthCtx and the batch executor (which revalidates kmax on
-// this path).
+// depthLocked runs the doubling search under the entry lock for a query
+// that passed validDepth; it is shared by ConfirmationDepthCtx and the
+// batch executor.
 func (o *Oracle) depthLocked(e *entry, target float64, kmax int, tr *telemetry.Trace) (int, error) {
-	if kmax > MaxDepthKMax {
-		return 0, fmt.Errorf("oracle: kmax %d outside [1, %d]", kmax, MaxDepthKMax)
-	}
 	cap := e.comp.CapForTarget(target)
 	extend := func(k int) (*lattice.Curve, error) { return o.upperLocked(e, cap, k, tr) }
 	return settlement.DepthSearch(extend, target, kmax)

@@ -301,7 +301,7 @@ func TestOracleBatchPlanning(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Chains: (0.25, τ=0), (0.30, τ=0), (0.25, τ=1e-30) — the bogus op
-	// still resolves to a chain and fails only at answer time.
+	// fails validation in its slot and joins no group.
 	if plan.Groups != 3 || plan.Queries != len(queries) || plan.MaxK != 80 {
 		t.Fatalf("plan %+v", plan)
 	}
@@ -327,6 +327,54 @@ func TestOracleBatchPlanning(t *testing.T) {
 		if r.Error != "" {
 			t.Fatalf("query %d failed: %s", i, r.Error)
 		}
+	}
+}
+
+// TestOracleBatchInvalidLeavesCache: a batch of queries that all fail
+// validation is rejected slot by slot before any of them reaches the
+// cache, so a full cache keeps every hot entry — no miss, no new entry,
+// no eviction — and each slot carries the GET path's error text.
+func TestOracleBatchInvalidLeavesCache(t *testing.T) {
+	o := New(4)
+	for _, alpha := range []float64{0.10, 0.20, 0.25, 0.30} {
+		if _, err := o.SettlementFailureCtx(ctx, alpha, 0.5*(1-alpha), 20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := o.Stats()
+	frac, tooBig := 0.5, 1.5
+	var queries []BatchQuery
+	var want []string
+	for i := 0; i < 6; i++ {
+		alpha := 0.05 + 0.05*float64(i)
+		queries = append(queries,
+			BatchQuery{Op: "curve", Alpha: alpha, Frac: &frac, K: 0},
+			BatchQuery{Op: "depth", Alpha: alpha, Frac: &frac, Target: 2, KMax: 100})
+		want = append(want, "oracle: k = 0 outside [1, 4096]", "oracle: target 2 outside (0,1)")
+	}
+	queries = append(queries,
+		BatchQuery{Op: "depth", Alpha: 0.40, Frac: &frac, Target: 1e-6, KMax: 0},
+		BatchQuery{Op: "bracket", Alpha: 0.40, Frac: &frac, K: MaxQueryHorizon + 1},
+		BatchQuery{Op: "nope", Alpha: 0.40, Frac: &frac, K: 10},
+		BatchQuery{Op: "cell", Alpha: 0.30, Frac: &tooBig, K: 60})
+	want = append(want, "oracle: kmax 0 outside [1, 1048576]", "oracle: k = 4097 outside [1, 4096]",
+		`oracle: unknown op "nope"`, "oracle: honest fraction 1.5 outside [0, 1]")
+	results, plan, err := o.BatchCtx(ctx, queries, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Error != want[i] {
+			t.Errorf("query %d (%s): error %q, want %q", i, queries[i].Op, r.Error, want[i])
+		}
+	}
+	if plan.Groups != 0 {
+		t.Errorf("invalid queries planned into %d groups", plan.Groups)
+	}
+	after := o.Stats()
+	if after.Entries != before.Entries || after.Misses != before.Misses || after.Evictions != before.Evictions {
+		t.Fatalf("invalid batch touched the cache: entries/misses/evictions %d/%d/%d → %d/%d/%d",
+			before.Entries, before.Misses, before.Evictions, after.Entries, after.Misses, after.Evictions)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -24,16 +25,19 @@ import (
 //	GET  /v1/cell?alpha=&frac=&k=                   Table-1 cell
 //	GET  /v1/bracket?alpha=&ph=|frac=&k=&tau=       certified bracket
 //	POST /v1/batch                                  planned multi-query
-//	GET  /healthz                                   liveness + cache gauge
-//	GET  /healthz/live                              bare liveness probe
+//	GET  /healthz/live                              liveness probe
 //	GET  /healthz/ready                             readiness (503 while warming/draining)
+//
+// The five GET routes share one handler: parseQuery reads the URL query
+// once, in the order listed (the first bad parameter is the 400 error),
+// then one oracle call and one encode. The Cluster router runs the same
+// parseQuery to pick a query's home replica.
 //
 // Counters are exported on /metrics by the telemetry registry the oracle
 // is instrumented into (see Oracle.Instrument), not by this route table.
 type Server struct {
 	o       *Oracle
 	workers int // batch executor pool size (≤ 0 selects all CPUs)
-	start   time.Time
 	ready   atomic.Bool
 }
 
@@ -41,7 +45,7 @@ type Server struct {
 // The server starts ready; callers that warm-boot from a snapshot or
 // drain on shutdown gate traffic with SetReady.
 func NewServer(o *Oracle, workers int) *Server {
-	s := &Server{o: o, workers: workers, start: time.Now()}
+	s := &Server{o: o, workers: workers}
 	s.ready.Store(true)
 	return s
 }
@@ -54,13 +58,10 @@ func (s *Server) SetReady(v bool) { s.ready.Store(v) }
 // Handler returns the route table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/depth", s.handleDepth)
-	mux.HandleFunc("GET /v1/curve", s.handleCurve)
-	mux.HandleFunc("GET /v1/failure", s.handleFailure)
-	mux.HandleFunc("GET /v1/cell", s.handleCell)
-	mux.HandleFunc("GET /v1/bracket", s.handleBracket)
+	for _, op := range getOps {
+		mux.HandleFunc("GET /v1/"+op, s.handleQuery)
+	}
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /healthz/live", s.handleLive)
 	mux.HandleFunc("GET /healthz/ready", s.handleReady)
 	return mux
@@ -102,54 +103,82 @@ func traceOf(r *http.Request) *telemetry.Trace {
 	return tr
 }
 
-// qfloat parses a required float query parameter.
-func qfloat(r *http.Request, name string) (float64, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return 0, fmt.Errorf("missing query parameter %q", name)
-	}
-	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %v", name, err)
-	}
-	return v, nil
+// getOps are the ops of the key-addressable GET routes, /v1/<op>.
+var getOps = []string{"depth", "curve", "failure", "cell", "bracket"}
+
+// getQuery is one parsed GET query.
+type getQuery struct {
+	alpha, ph, frac float64 // frac stays 0 when the query gave ph
+	k               int     // the horizon, or kmax for depth
+	target, tau     float64
 }
 
-// qint parses a required integer query parameter.
-func qint(r *http.Request, name string) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return 0, fmt.Errorf("missing query parameter %q", name)
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %v", name, err)
-	}
-	return v, nil
-}
-
-// params resolves the (α, ph) point of a GET query: alpha plus exactly one
-// of ph and frac.
-func params(r *http.Request) (alpha, ph float64, err error) {
-	if alpha, err = qfloat(r, "alpha"); err != nil {
-		return 0, 0, err
-	}
-	q := r.URL.Query()
-	hasPh, hasFrac := q.Has("ph"), q.Has("frac")
+// parseQuery reads the parameters of a GET query to /v1/<op> from one
+// parse of its URL query, in the order the route table lists them:
+// alpha, then exactly one of ph and frac (ph = frac·(1−α); a Table-1
+// cell always reads frac), then the op's own. The error names the first
+// missing or malformed parameter.
+func parseQuery(op string, v url.Values) (getQuery, error) {
+	var q getQuery
+	r := paramReader{v: v}
+	q.alpha = r.float("alpha")
+	hasPh, hasFrac := v.Has("ph"), v.Has("frac")
 	switch {
+	case op == "cell" || hasFrac && !hasPh:
+		q.frac = r.float("frac")
+		q.ph = q.frac * (1 - q.alpha)
 	case hasPh && hasFrac:
-		return 0, 0, fmt.Errorf("give ph or frac, not both")
+		r.fail(errors.New("give ph or frac, not both"))
 	case hasPh:
-		ph, err = qfloat(r, "ph")
-	case hasFrac:
-		var frac float64
-		if frac, err = qfloat(r, "frac"); err == nil {
-			ph = frac * (1 - alpha)
-		}
+		q.ph = r.float("ph")
 	default:
-		return 0, 0, fmt.Errorf("missing query parameter: ph or frac")
+		r.fail(errors.New("missing query parameter: ph or frac"))
 	}
-	return alpha, ph, err
+	if op == "depth" {
+		q.target, q.k = r.float("target"), r.int("kmax")
+	} else {
+		q.k = r.int("k")
+	}
+	if op == "bracket" && v.Has("tau") {
+		q.tau = r.float("tau")
+	}
+	return q, r.err
+}
+
+// paramReader reads required query parameters for parseQuery. The first
+// error sticks and every later read returns the zero value.
+type paramReader struct {
+	v   url.Values
+	err error
+}
+
+func (r *paramReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+func (r *paramReader) float(name string) float64 {
+	return readParam(r, name, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
+}
+
+func (r *paramReader) int(name string) int { return readParam(r, name, strconv.Atoi) }
+
+func readParam[T any](r *paramReader, name string, parse func(string) (T, error)) T {
+	var v T
+	if r.err != nil {
+		return v
+	}
+	raw := r.v.Get(name)
+	if raw == "" {
+		r.fail(fmt.Errorf("missing query parameter %q", name))
+		return v
+	}
+	v, err := parse(raw)
+	if err != nil {
+		r.fail(fmt.Errorf("parameter %q: %v", name, err))
+	}
+	return v
 }
 
 // keyFields annotates answers with the canonical cache coordinates the
@@ -168,154 +197,74 @@ func canonicalFields(alpha, ph float64) keyFields {
 	return keyFields{Alpha: key.Alpha(), Ph: key.Ph(), Frac: key.HonestFraction()}
 }
 
-func (s *Server) handleDepth(w http.ResponseWriter, r *http.Request) {
+// handleQuery serves the GET route of every op: one parse of the query,
+// one oracle call, one encode.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tr := traceOf(r)
-	alpha, ph, err := params(r)
+	op := r.URL.Path[len("/v1/"):]
+	q, err := parseQuery(op, r.URL.Query())
 	if err != nil {
 		badRequest(w, err)
 		return
 	}
-	target, err := qfloat(r, "target")
-	if err != nil {
-		badRequest(w, err)
-		return
+	ctx, kf := r.Context(), canonicalFields(q.alpha, q.ph)
+	var answer any
+	switch op {
+	case "depth":
+		var depth int
+		depth, err = s.o.ConfirmationDepthCtx(ctx, q.alpha, q.ph, q.target, q.k)
+		answer = struct {
+			keyFields
+			Target float64 `json:"target"`
+			KMax   int     `json:"kmax"`
+			Depth  int     `json:"depth"`
+		}{kf, q.target, q.k, depth}
+	case "curve":
+		var curve []float64
+		curve, err = s.o.SettlementCurveCtx(ctx, q.alpha, q.ph, q.k)
+		answer = struct {
+			keyFields
+			K     int       `json:"k"`
+			Curve []float64 `json:"curve"`
+		}{kf, q.k, curve}
+	case "failure", "cell":
+		var p float64
+		if op == "cell" {
+			p, err = s.o.TableCellCtx(ctx, q.frac, q.k, q.alpha)
+		} else {
+			p, err = s.o.SettlementFailureCtx(ctx, q.alpha, q.ph, q.k)
+		}
+		answer = struct {
+			keyFields
+			K int     `json:"k"`
+			P float64 `json:"p"`
+		}{kf, q.k, p}
+	case "bracket":
+		var lo, hi float64
+		lo, hi, err = s.o.SettlementBracketCtx(ctx, q.alpha, q.ph, q.k, q.tau)
+		answer = struct {
+			keyFields
+			K     int     `json:"k"`
+			Tau   float64 `json:"tau"`
+			Lower float64 `json:"lower"`
+			Upper float64 `json:"upper"`
+		}{kf, q.k, q.tau, lo, hi}
 	}
-	kmax, err := qint(r, "kmax")
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	depth, err := s.o.ConfirmationDepthCtx(r.Context(), alpha, ph, target, kmax)
-	if err != nil {
+	switch {
+	case errors.Is(err, settlement.ErrTargetUnreachable):
 		// An unreachable target is a legitimate semantic outcome of a
-		// well-formed query (slow-decay parameter point), not a client
-		// error: 422 with a machine-readable code so clients can branch.
-		if errors.Is(err, settlement.ErrTargetUnreachable) {
-			writeJSON(w, http.StatusUnprocessableEntity, struct {
-				httpError
-				Code string `json:"code"`
-			}{httpError{Error: err.Error()}, "target_unreachable"})
-			return
-		}
+		// well-formed depth query (slow-decay parameter point), not a
+		// client error: 422 with a machine-readable code so clients can
+		// branch.
+		writeJSON(w, http.StatusUnprocessableEntity, struct {
+			httpError
+			Code string `json:"code"`
+		}{httpError{Error: err.Error()}, "target_unreachable"})
+	case err != nil:
 		badRequest(w, err)
-		return
+	default:
+		writeJSONTraced(tr, w, http.StatusOK, answer)
 	}
-	writeJSONTraced(tr, w, http.StatusOK, struct {
-		keyFields
-		Target float64 `json:"target"`
-		KMax   int     `json:"kmax"`
-		Depth  int     `json:"depth"`
-	}{canonicalFields(alpha, ph), target, kmax, depth})
-}
-
-func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
-	tr := traceOf(r)
-	alpha, ph, err := params(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	k, err := qint(r, "k")
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	curve, err := s.o.SettlementCurveCtx(r.Context(), alpha, ph, k)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	writeJSONTraced(tr, w, http.StatusOK, struct {
-		keyFields
-		K     int       `json:"k"`
-		Curve []float64 `json:"curve"`
-	}{canonicalFields(alpha, ph), k, curve})
-}
-
-func (s *Server) handleFailure(w http.ResponseWriter, r *http.Request) {
-	tr := traceOf(r)
-	alpha, ph, err := params(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	k, err := qint(r, "k")
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	p, err := s.o.SettlementFailureCtx(r.Context(), alpha, ph, k)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	writeJSONTraced(tr, w, http.StatusOK, struct {
-		keyFields
-		K int     `json:"k"`
-		P float64 `json:"p"`
-	}{canonicalFields(alpha, ph), k, p})
-}
-
-func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
-	tr := traceOf(r)
-	alpha, err := qfloat(r, "alpha")
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	frac, err := qfloat(r, "frac")
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	k, err := qint(r, "k")
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	p, err := s.o.TableCellCtx(r.Context(), frac, k, alpha)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	writeJSONTraced(tr, w, http.StatusOK, struct {
-		keyFields
-		K int     `json:"k"`
-		P float64 `json:"p"`
-	}{canonicalFields(alpha, frac*(1-alpha)), k, p})
-}
-
-func (s *Server) handleBracket(w http.ResponseWriter, r *http.Request) {
-	tr := traceOf(r)
-	alpha, ph, err := params(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	k, err := qint(r, "k")
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	tau := 0.0
-	if r.URL.Query().Has("tau") {
-		if tau, err = qfloat(r, "tau"); err != nil {
-			badRequest(w, err)
-			return
-		}
-	}
-	lo, hi, err := s.o.SettlementBracketCtx(r.Context(), alpha, ph, k, tau)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	writeJSONTraced(tr, w, http.StatusOK, struct {
-		keyFields
-		K     int     `json:"k"`
-		Tau   float64 `json:"tau"`
-		Lower float64 `json:"lower"`
-		Upper float64 `json:"upper"`
-	}{canonicalFields(alpha, ph), k, tau, lo, hi})
 }
 
 // batchRequest is the POST /v1/batch body.
@@ -357,17 +306,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		ElapsedMS float64       `json:"elapsed_ms"`
 		Results   []BatchResult `json:"results"`
 	}{plan, float64(time.Since(start).Microseconds()) / 1e3, results})
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	st := s.o.Stats()
-	writeJSON(w, http.StatusOK, struct {
-		Status   string `json:"status"`
-		UptimeMS int64  `json:"uptime_ms"`
-		Entries  int    `json:"entries"`
-		Hits     int64  `json:"hits"`
-		Misses   int64  `json:"misses"`
-	}{"ok", time.Since(s.start).Milliseconds(), st.Entries, st.Hits, st.Misses})
 }
 
 // handleLive is the liveness probe: the process is up and serving; a

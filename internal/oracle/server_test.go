@@ -123,9 +123,9 @@ func TestServerEndpoints(t *testing.T) {
 	}
 }
 
-// TestServerHealthzAndVars: the liveness and metrics surfaces report the
-// cache state the traffic created, and the retired /debug/vars route is
-// gone.
+// TestServerHealthzAndVars: the liveness probe answers, /metrics reports
+// the cache state the traffic created, and the retired /debug/vars and
+// /healthz routes are gone.
 func TestServerHealthzAndVars(t *testing.T) {
 	o := New(0)
 	reg := telemetry.New()
@@ -141,14 +141,11 @@ func TestServerHealthzAndVars(t *testing.T) {
 	getJSON(t, c, ts.URL+"/v1/cell?alpha=0.25&frac=0.5&k=40", http.StatusOK, nil)
 
 	var h struct {
-		Status  string `json:"status"`
-		Entries int    `json:"entries"`
-		Hits    int64  `json:"hits"`
-		Misses  int64  `json:"misses"`
+		Status string `json:"status"`
 	}
-	getJSON(t, c, ts.URL+"/healthz", http.StatusOK, &h)
-	if h.Status != "ok" || h.Entries != 1 || h.Hits != 1 || h.Misses != 1 {
-		t.Fatalf("healthz %+v", h)
+	getJSON(t, c, ts.URL+"/healthz/live", http.StatusOK, &h)
+	if h.Status != "alive" {
+		t.Fatalf("healthz/live %+v", h)
 	}
 
 	resp, err := c.Get(ts.URL + "/metrics")
@@ -178,13 +175,8 @@ func TestServerHealthzAndVars(t *testing.T) {
 		}
 	}
 
-	resp, err = c.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/debug/vars status %d, want 404", resp.StatusCode)
+	for _, retired := range []string{"/debug/vars", "/healthz"} {
+		getJSON(t, c, ts.URL+retired, http.StatusNotFound, nil)
 	}
 }
 

@@ -55,14 +55,9 @@ var ErrTargetUnreachable = errors.New("settlement: target unreachable within kma
 // doubling sequence of horizons, so an incrementally extensible curve pays
 // every lattice step exactly once however deep the search goes. When even
 // kmax does not reach the target it returns an error wrapping
-// ErrTargetUnreachable.
+// ErrTargetUnreachable. Callers validate their query first: target in
+// (0, 1) and kmax ≥ 1.
 func DepthSearch(extend func(k int) (*lattice.Curve, error), target float64, kmax int) (int, error) {
-	if !(target > 0 && target < 1) { // positive form also rejects NaN
-		return 0, fmt.Errorf("settlement: target %v outside (0,1)", target)
-	}
-	if kmax < 1 {
-		return 0, fmt.Errorf("settlement: kmax %d must be ≥ 1", kmax)
-	}
 	scanned := 0
 	var cv *lattice.Curve
 	for span := min(256, kmax); ; span = min(span*2, kmax) {

@@ -38,7 +38,7 @@ func NewHTTPMetrics(reg *Registry, prefix string) *HTTPMetrics {
 var knownEndpoints = map[string]bool{
 	"/v1/depth": true, "/v1/curve": true, "/v1/failure": true,
 	"/v1/cell": true, "/v1/bracket": true, "/v1/batch": true,
-	"/healthz": true, "/healthz/live": true, "/healthz/ready": true,
+	"/healthz/live": true, "/healthz/ready": true,
 	"/metrics": true, "/debug/traces": true,
 }
 
@@ -75,8 +75,7 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // probe polls and scrapes arrive many times a second. Their metrics are
 // still recorded; only the per-request log line is suppressed.
 var quietPaths = map[string]bool{
-	"/healthz": true, "/healthz/live": true, "/healthz/ready": true,
-	"/metrics": true,
+	"/healthz/live": true, "/healthz/ready": true, "/metrics": true,
 }
 
 // MiddlewareConfig configures the telemetry edge beyond metrics and the

@@ -170,8 +170,8 @@ func TestMiddlewareStatusDefault(t *testing.T) {
 	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Write([]byte("implicit 200")) // no WriteHeader call
 	}), m, nil)
-	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz", nil))
-	if got := m.requests.With("/healthz", "200").Value(); got != 1 {
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz/live", nil))
+	if got := m.requests.With("/healthz/live", "200").Value(); got != 1 {
 		t.Fatalf("implicit 200 not recorded: %d", got)
 	}
 }
