@@ -1,8 +1,8 @@
 // Command serve runs the settlement oracle as an HTTP JSON service: the
 // repo's confirmation-depth, settlement-curve, bracket and Table-1 cell
-// computations answered online from a concurrent cache of live lattice
-// curves (internal/oracle). A hot parameter point costs one DP build ever;
-// deeper queries pay only the incremental curve extension.
+// computations answered online from a concurrent cache of lattice curve
+// readouts (internal/oracle). A hot parameter point costs one DP build
+// ever; a deeper query extends its curve, replaying the sweep.
 //
 // Usage:
 //
@@ -47,10 +47,17 @@
 //
 // Metrics — cache hit/miss/coalesce counters, build/extend latency
 // histograms, per-peer forward/hedge/breaker state, request duration by
-// endpoint and status — are served in Prometheus text form on /metrics.
+// endpoint and status, GC cycles and live heap — are served in
+// Prometheus text form on /metrics.
 // -pprof additionally mounts net/http/pprof under /debug/pprof/.
 // -log-level debug additionally logs every span of every recorded
 // request.
+//
+// Memory: cache entries hold only their curves' readouts, so the live
+// heap of a warm server is a few MB. Unless GOGC or GOMEMLIMIT is set,
+// the server keeps its GC heap goal at max(48 MiB, 2 × live heap)
+// (gcfloor.go), so a small live heap does not mean a GC cycle every few
+// hundred requests.
 //
 // Endpoints (see internal/oracle.Server):
 //
@@ -136,7 +143,11 @@ func run(logger *slog.Logger) error {
 	logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
 
 	bootStart := time.Now()
+	if installGCFloor() {
+		logger.Info("gc floor", "heap_goal_min_mb", gcFloor>>20)
+	}
 	reg := telemetry.New()
+	telemetry.RegisterRuntime(reg)
 	rec := telemetry.NewRecorder(telemetry.RecorderConfig{
 		Capacity:         *traceBuf,
 		LatencyThreshold: *traceThreshold,

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"multihonest/internal/lattice"
 	"multihonest/internal/oracle"
 	"multihonest/internal/settlement"
 )
@@ -36,6 +37,17 @@ func oracleInvariants() []Invariant {
 				"curve value and bracket end bitwise, with zero DP rebuilds.",
 			Anchor: "oracle.Oracle.WriteSnapshot / LoadSnapshot (internal/oracle/snapshot.go)",
 			Check:  checkSnapshotRoundtripIdentity,
+		},
+		{
+			Name: "readout-residency-identity",
+			Statement: "A curve whose lattice engine is released between " +
+				"extensions — at random points, within one ladder capacity " +
+				"and across capacity crossings — serves readouts bitwise " +
+				"equal to a curve that never released it, for exact, " +
+				"pruned (τ > 0) and upper-bound chains, and so does the " +
+				"oracle, which releases after every extension.",
+			Anchor: "lattice.Curve.Release (internal/lattice/curve.go) + oracle extendLocked / depthLocked (internal/oracle/oracle.go)",
+			Check:  checkReadoutResidencyIdentity,
 		},
 		{
 			Name: "failover-answer-identity",
@@ -143,6 +155,95 @@ func checkSnapshotRoundtripIdentity(t *testing.T, r *rand.Rand) {
 		}
 		if st := restored.Stats(); st.Builds != 0 {
 			t.Fatalf("trial %d: restored oracle rebuilt %d curves; snapshot served nothing", trial, st.Builds)
+		}
+	}
+}
+
+func checkReadoutResidencyIdentity(t *testing.T, r *rand.Rand) {
+	ctx := context.Background()
+	for trial := 0; trial < 2; trial++ {
+		p := randParams(t, r)
+		comp := settlement.New(p)
+		chains := []struct {
+			name string
+			mk   func() *lattice.Curve
+		}{
+			{"exact", func() *lattice.Curve { return comp.Curve(0) }},
+			{"pruned", func() *lattice.Curve { return comp.Curve(1e-30) }},
+			{"upper", func() *lattice.Curve { return comp.UpperCurve(comp.CapForTarget(1e-6)) }},
+		}
+		for _, ch := range chains {
+			kept, released := ch.mk(), ch.mk()
+			// Extensions grow the horizon by 1–24 steps up to 200, so they
+			// land both inside one ladder capacity and across the 16…128
+			// crossings; each op is an extend, a release or a query of a
+			// random computed horizon.
+			for op := 0; op < 40; op++ {
+				switch r.Intn(3) {
+				case 0:
+					k := min(kept.Len()+1+r.Intn(24), 200)
+					if err := kept.Extend(k); err != nil {
+						t.Fatal(err)
+					}
+					if err := released.Extend(k); err != nil {
+						t.Fatal(err)
+					}
+				case 1:
+					released.Release()
+				}
+				if released.Len() != kept.Len() {
+					t.Fatalf("trial %d %s: lengths %d vs %d", trial, ch.name, released.Len(), kept.Len())
+				}
+				if n := kept.Len(); n > 0 {
+					h := 1 + r.Intn(n)
+					if math.Float64bits(released.Lower(h)) != math.Float64bits(kept.Lower(h)) ||
+						math.Float64bits(released.Upper(h)) != math.Float64bits(kept.Upper(h)) {
+						t.Fatalf("trial %d %s op %d: horizon %d reads [%v,%v] released, [%v,%v] kept",
+							trial, ch.name, op, h, released.Lower(h), released.Upper(h), kept.Lower(h), kept.Upper(h))
+					}
+				}
+			}
+			for h := 1; h <= kept.Len(); h++ {
+				if math.Float64bits(released.Lower(h)) != math.Float64bits(kept.Lower(h)) ||
+					math.Float64bits(released.Upper(h)) != math.Float64bits(kept.Upper(h)) {
+					t.Fatalf("trial %d %s: horizon %d differs after the interleaving", trial, ch.name, h)
+				}
+			}
+		}
+
+		// The oracle releases after every extension: a random sequence of
+		// curve and bracket queries on one entry serves the never-released
+		// curves' bits.
+		o := oracle.New(4)
+		alpha, ph := p.PA(), p.Ph
+		_, cp, err := oracle.Canonicalize(alpha, ph, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canon := settlement.New(cp)
+		exact, pruned := canon.Curve(0), canon.Curve(1e-30)
+		for q := 0; q < 8; q++ {
+			k := 1 + r.Intn(150)
+			if err := exact.Extend(k); err != nil {
+				t.Fatal(err)
+			}
+			if err := pruned.Extend(k); err != nil {
+				t.Fatal(err)
+			}
+			got, err := o.SettlementCurveCtx(ctx, alpha, ph, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := exact.ValuesUpTo(k); !slices.Equal(got, want) {
+				t.Fatalf("trial %d query %d: oracle curve at k = %d differs from a never-released curve", trial, q, k)
+			}
+			lo, hi, err := o.SettlementBracketCtx(ctx, alpha, ph, k, 1e-30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wlo, whi := pruned.Bracket(k); math.Float64bits(lo) != math.Float64bits(wlo) || math.Float64bits(hi) != math.Float64bits(whi) {
+				t.Fatalf("trial %d query %d: oracle bracket at k = %d is [%v,%v], never-released [%v,%v]", trial, q, k, lo, hi, wlo, whi)
+			}
 		}
 	}
 }

@@ -50,6 +50,19 @@ type Builder func(kCap int) (*Engine, error)
 // so serialized extend-then-read under one lock yields answers identical
 // to a private cold build — this is the property internal/oracle relies on
 // when it extends hot cached curves in place under per-entry locks.
+//
+// # Residency
+//
+// A Curve holds two kinds of state: the O(k) readouts every answer is
+// read from, and the engine's O(cap²) mass grid, which is needed only to
+// extend past Len(). Release drops the grid and leaves the readouts, the
+// same state Restore produces; the next Extend past Len() rebuilds and
+// replays from step zero through the canonical ladder, so its values are
+// byte-identical to those of a curve that never released (the
+// readout-residency-identity conformance invariant). A search that
+// extends step after step (core.ConfirmationDepth, the Table 1 sweeps)
+// keeps its engine; a cache that answers mostly from readouts
+// (internal/oracle) releases it once each request's extension is done.
 type Curve struct {
 	build Builder
 	fixed bool
@@ -169,11 +182,20 @@ func (c *Curve) ValuesUpTo(k int) []float64 {
 	return out
 }
 
+// Release drops the cached engine and keeps the readouts: every horizon
+// 1..Len() still serves, and the next Extend past Len() rebuilds the
+// engine and replays the sweep from step zero, exactly as after Restore.
+func (c *Curve) Release() { c.eng, c.cap = nil, 0 }
+
+// ReadoutBytes returns the heap footprint of the readout slices alone:
+// what a released curve keeps resident.
+func (c *Curve) ReadoutBytes() int64 { return int64(cap(c.lower)+cap(c.drop)) * 8 }
+
 // MemBytes returns the resident heap footprint of the handle: the readout
-// slices plus the cached engine's buffers. Cache owners (internal/oracle)
-// use it to account resident curve bytes per entry.
+// slices plus the cached engine's buffers, if it holds one. Cache owners
+// (internal/oracle) use it to account resident curve bytes per entry.
 func (c *Curve) MemBytes() int64 {
-	n := int64(cap(c.lower)+cap(c.drop)) * 8
+	n := c.ReadoutBytes()
 	if c.eng != nil {
 		n += c.eng.MemBytes()
 	}
@@ -226,6 +248,6 @@ func (c *Curve) Restore(lower, drop []float64) error {
 	}
 	c.lower = append(c.lower[:0], lower...)
 	c.drop = append(c.drop[:0], drop...)
-	c.eng, c.cap = nil, 0
+	c.Release()
 	return nil
 }

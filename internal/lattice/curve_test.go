@@ -155,6 +155,48 @@ func TestCurveStateRestore(t *testing.T) {
 	}
 }
 
+// TestCurveRelease: a released curve keeps serving its readouts with only
+// the readout slices resident, and releasing between extensions — within
+// one ladder capacity and across capacity crossings — yields the very
+// bits of a curve that kept its engine throughout.
+func TestCurveRelease(t *testing.T) {
+	cases := []struct {
+		name  string
+		fresh func() *Curve
+	}{
+		{"fixed", func() *Curve { return NewCurve(builder(Geometry{RMax: 32, SMin: -32, SMax: 32}, true, 0), true) }},
+		{"exact", func() *Curve { return NewCurve(exactBuilder(0), false) }},
+		{"pruned", func() *Curve { return NewCurve(exactBuilder(1e-10), false) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			kept, released := tc.fresh(), tc.fresh()
+			for _, k := range []int{5, 9, 16, 17, 30, 33, 70} {
+				if err := kept.Extend(k); err != nil {
+					t.Fatal(err)
+				}
+				if err := released.Extend(k); err != nil {
+					t.Fatal(err)
+				}
+				released.Release()
+				if got, want := released.MemBytes(), released.ReadoutBytes(); got != want {
+					t.Fatalf("k=%d: released MemBytes %d, want the readouts' %d", k, got, want)
+				}
+				if kept.MemBytes() <= kept.ReadoutBytes() {
+					t.Fatalf("k=%d: an unreleased curve reports no engine bytes", k)
+				}
+				for h := 1; h <= k; h++ {
+					lo, hi := kept.Bracket(h)
+					rlo, rhi := released.Bracket(h)
+					if math.Float64bits(lo) != math.Float64bits(rlo) || math.Float64bits(hi) != math.Float64bits(rhi) {
+						t.Fatalf("k=%d h=%d: released [%v,%v] != kept [%v,%v]", k, h, rlo, rhi, lo, hi)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestCurveRestoreRejects: Restore validates its input — length
 // mismatches, out-of-range probabilities, NaNs, decreasing ledgers, and
 // already-computed curves are all refused.

@@ -3,6 +3,7 @@ package oracle
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"multihonest/internal/runner"
 	"multihonest/internal/telemetry"
@@ -159,6 +160,7 @@ func (o *Oracle) BatchCtx(ctx context.Context, queries []BatchQuery, workers int
 			out[i].Error = err.Error()
 			continue
 		}
+		o.opCounter(q.Op).Add(1)
 		g, ok := groups[e.key]
 		if !ok {
 			g = &group{e: e}
@@ -201,13 +203,28 @@ func (o *Oracle) BatchCtx(ctx context.Context, queries []BatchQuery, workers int
 	return out, plan, err
 }
 
+// opCounter returns the per-op query counter of a validated query's op
+// ("failure" and "cell" share one). Both paths count a query once it has
+// passed validation and resolved its cache entry, so
+// oracle_queries_total{op} means the same for GET and batch queries.
+func (o *Oracle) opCounter(op string) *atomic.Int64 {
+	switch op {
+	case "depth":
+		return &o.depthQ
+	case "curve":
+		return &o.curveQ
+	case "bracket":
+		return &o.bracketQ
+	}
+	return &o.cellQ
+}
+
 // answerLocked serves one planned, validated query from the group's
 // entry; the caller holds the entry lock and has already extended the
 // main curve to the group's deepest horizon.
 func (o *Oracle) answerLocked(e *entry, q *BatchQuery, res *BatchResult, tr *telemetry.Trace) {
 	switch q.Op {
 	case "depth":
-		o.depthQ.Add(1)
 		d, err := o.depthLocked(e, q.Target, q.KMax, tr)
 		if err != nil {
 			res.Error = err.Error()
@@ -215,14 +232,11 @@ func (o *Oracle) answerLocked(e *entry, q *BatchQuery, res *BatchResult, tr *tel
 		}
 		res.Depth = d
 	case "curve":
-		o.curveQ.Add(1)
 		res.Curve = e.curve.ValuesUpTo(q.K)
 	case "failure", "cell":
-		o.cellQ.Add(1)
 		p := e.curve.Lower(q.K)
 		res.P = &p
 	case "bracket":
-		o.bracketQ.Add(1)
 		lo, hi := e.curve.Bracket(q.K)
 		res.Lower, res.Upper = &lo, &hi
 	}

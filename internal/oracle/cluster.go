@@ -3,13 +3,12 @@ package oracle
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"hash/fnv"
 	"io"
 	"maps"
 	"math/rand"
 	"net/http"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -222,8 +221,12 @@ func (c *Cluster) Stats() ClusterStats {
 func (c *Cluster) Handler() http.Handler { return c }
 
 func (c *Cluster) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if len(c.peers) < 2 || c.self == "" {
+		c.local.ServeHTTP(w, r) // nothing to shard across
+		return
+	}
 	key, ok := chainKeyOf(r)
-	if !ok || len(c.peers) < 2 || c.self == "" {
+	if !ok {
 		c.local.ServeHTTP(w, r)
 		return
 	}
@@ -245,39 +248,59 @@ func (c *Cluster) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // owner picks the replica for a chain key by highest-random-weight
 // (rendezvous) hashing: every replica computes the same argmax with no
-// coordination, and removing one peer moves only that peer's keys.
-func (c *Cluster) owner(key string) string {
+// coordination, and removing one peer moves only that peer's keys. Each
+// peer's score is the 64-bit FNV-1a hash of "<peer>\x00<αBP>/<fracBP>";
+// the key bytes are built on the stack, so routing allocates nothing.
+func (c *Cluster) owner(key Key) string {
+	var buf [48]byte
+	kb := strconv.AppendInt(buf[:0], int64(key.AlphaBP), 10)
+	kb = append(kb, '/')
+	kb = strconv.AppendInt(kb, int64(key.FracBP), 10)
 	var best string
 	var bestScore uint64
 	for _, p := range c.peers {
-		h := fnv.New64a()
-		io.WriteString(h, p)
-		h.Write([]byte{0})
-		io.WriteString(h, key)
-		if s := h.Sum64(); best == "" || s > bestScore {
-			best, bestScore = p, s
+		h := fnv1a(fnvOffset64, p)
+		h = fnv1a(h, "\x00")
+		h = fnv1a(h, kb)
+		if best == "" || h > bestScore {
+			best, bestScore = p, h
 		}
 	}
 	return best
 }
 
-// chainKeyOf extracts the canonical sharding key of a key-addressable
-// query. Malformed parameters return ok=false and are served locally,
-// where they earn their 400 without a network hop.
-func chainKeyOf(r *http.Request) (string, bool) {
+// FNV-1a, 64-bit (the hash/fnv New64a constants).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a folds s into the running FNV-1a hash h.
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// chainKeyOf extracts the canonical chain key (τ = 0) of a
+// key-addressable query. Malformed parameters return ok=false and are
+// served locally, where they earn their 400 without a network hop.
+func chainKeyOf(r *http.Request) (Key, bool) {
 	op, ok := strings.CutPrefix(r.URL.Path, "/v1/")
 	if r.Method != http.MethodGet || !ok || !slices.Contains(getOps, op) {
-		return "", false
+		return Key{}, false
 	}
 	q, err := parseQuery(op, r.URL.Query())
 	if err != nil {
-		return "", false
+		return Key{}, false
 	}
 	key, _, err := Canonicalize(q.alpha, q.ph, 0)
 	if err != nil {
-		return "", false
+		return Key{}, false
 	}
-	return fmt.Sprintf("%d/%d", key.AlphaBP, key.FracBP), true
+	return key, true
 }
 
 // bufferedResponse captures a whole response so the forward/hedge race

@@ -156,17 +156,76 @@ func TestClusterOwnerRendezvous(t *testing.T) {
 	rs := newReplicaSet(t, 3, nil)
 	owners := make(map[string]bool)
 	for bp := 0; bp < 5000; bp += 50 {
-		key := fmt.Sprintf("%d/%d", bp, 10000-bp)
+		key := Key{AlphaBP: bp, FracBP: 10000 - bp}
 		owner := rs.clusters[0].owner(key)
 		for i, c := range rs.clusters {
 			if got := c.owner(key); got != owner {
-				t.Fatalf("replica %d maps %s to %s; replica 0 to %s", i, key, got, owner)
+				t.Fatalf("replica %d maps %v to %s; replica 0 to %s", i, key, got, owner)
 			}
 		}
 		owners[owner] = true
 	}
 	if len(owners) != len(rs.urls) {
 		t.Fatalf("HRW used %d of %d replicas over 100 keys", len(owners), len(rs.urls))
+	}
+}
+
+// TestClusterOwnerPinned pins rendezvous ownership for a fixed peer set:
+// the score hashes "<peer>\x00<αBP>/<fracBP>", so a change to how the key
+// bytes are built would silently move keys between replicas of a mixed-
+// version cluster. The owners were recorded from the fmt.Sprintf and
+// hash/fnv implementation this one replaced.
+func TestClusterOwnerPinned(t *testing.T) {
+	peers := []string{"http://10.0.0.1:8080", "http://10.0.0.2:8080", "http://10.0.0.3:8080"}
+	c := NewCluster(NewServer(New(1), 1), ClusterConfig{Self: peers[0], Peers: peers})
+	for _, tc := range []struct {
+		key  Key
+		want string
+	}{
+		{Key{AlphaBP: 3000, FracBP: 2500}, "http://10.0.0.3:8080"},
+		{Key{AlphaBP: 2500, FracBP: 5000}, "http://10.0.0.2:8080"},
+		{Key{AlphaBP: 1000, FracBP: 0}, "http://10.0.0.3:8080"},
+		{Key{AlphaBP: 4999, FracBP: 10000}, "http://10.0.0.1:8080"},
+		{Key{AlphaBP: 1, FracBP: 1}, "http://10.0.0.1:8080"},
+		{Key{AlphaBP: 2000, FracBP: 7500}, "http://10.0.0.1:8080"},
+		{Key{AlphaBP: 3300, FracBP: 3333}, "http://10.0.0.1:8080"},
+		{Key{AlphaBP: 4500, FracBP: 9999}, "http://10.0.0.2:8080"},
+		{Key{AlphaBP: 100, FracBP: 5000}, "http://10.0.0.2:8080"},
+		{Key{AlphaBP: 2750, FracBP: 6000}, "http://10.0.0.3:8080"},
+	} {
+		if got := c.owner(tc.key); got != tc.want {
+			t.Errorf("owner(%d/%d) = %s, want %s", tc.key.AlphaBP, tc.key.FracBP, got, tc.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { c.owner(Key{AlphaBP: 3000, FracBP: 2500}) }); n != 0 {
+		t.Errorf("owner: %v allocs per call, want 0", n)
+	}
+}
+
+// TestPeerlessClusterAllocs: a Cluster with nothing to shard across adds
+// no allocation to a warm GET over the bare Server's handler (it used to
+// parse the query and format a routing key it never used).
+func TestPeerlessClusterAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector makes sync.Pool drop items at random, so allocation counts rise")
+	}
+	srv := NewServer(New(0), 1)
+	const url = "/v1/cell?alpha=0.30&frac=0.25&k=60"
+	allocs := func(h http.Handler) float64 {
+		serve := func() {
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, url, nil))
+			if rr.Code != http.StatusOK {
+				t.Fatalf("status %d", rr.Code)
+			}
+		}
+		serve()
+		return testing.AllocsPerRun(200, serve)
+	}
+	bare := allocs(srv.Handler())
+	peerless := allocs(NewCluster(srv, ClusterConfig{}).Handler())
+	if peerless > bare {
+		t.Errorf("warm /v1/cell: %v allocs through a peerless Cluster, %v through the bare Server", peerless, bare)
 	}
 }
 

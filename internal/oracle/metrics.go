@@ -24,7 +24,7 @@ type oracleMetrics struct {
 // Only the build/extend latency histograms record inline, and those sit
 // on the cold path by definition.
 func (o *Oracle) Instrument(reg *telemetry.Registry) {
-	queries := reg.CounterVec("oracle_queries_total", "Queries served, by operation.", "op")
+	queries := reg.CounterVec("oracle_queries_total", "Queries that passed validation and reached their cache entry, by operation.", "op")
 	queries.Func(func() float64 { return float64(o.depthQ.Load()) }, "depth")
 	queries.Func(func() float64 { return float64(o.curveQ.Load()) }, "curve")
 	queries.Func(func() float64 { return float64(o.bracketQ.Load()) }, "bracket")
@@ -32,7 +32,7 @@ func (o *Oracle) Instrument(reg *telemetry.Registry) {
 	queries.Func(func() float64 { return float64(o.batchQ.Load()) }, "batch")
 	o.met = oracleMetrics{
 		build:  reg.Histogram("oracle_build_seconds", "Cold DP builds of a chain's curve.", nil),
-		extend: reg.Histogram("oracle_extend_seconds", "Incremental in-place curve extensions.", nil),
+		extend: reg.Histogram("oracle_extend_seconds", "Curve extensions past the cached horizon.", nil),
 	}
 	reg.CounterFunc("oracle_cache_hits_total", "Curve-cache lookups that found a resident entry.", func() float64 {
 		return float64(o.hits.Load())

@@ -22,9 +22,23 @@
 // find the curve already long enough (Curve.Extend is idempotent) — miss
 // coalescing without a separate singleflight table. A query needing a
 // deeper horizon than cached extends the curve in place under the same
-// lock, paying only the incremental steps (see the Curve concurrency
-// contract in internal/lattice). A hot parameter point thus costs one DP
-// build ever; everything after is a slice read or an incremental extension.
+// lock (see the Curve concurrency contract in internal/lattice). A hot
+// parameter point thus costs one DP build ever; everything after is a
+// slice read or an extension.
+//
+// # Readout-only residency
+//
+// A resting entry holds only its curves' readouts — O(k) float64s per
+// chain — never a lattice engine's O(cap²) mass grid. Once a request's DP
+// work on an entry is done (the main curve's extension, or a depth
+// query's whole doubling search over an upper-bound chain), the oracle
+// releases the engine under the entry lock (lattice.Curve.Release). A
+// later query past the cached horizon rebuilds the engine and replays
+// from step zero through the canonical ladder, so its answer is
+// byte-identical to that of a curve that kept its engine
+// (readout-residency-identity). The grid is live only while a request
+// is extending, so resident memory is O(k) per entry plus the grids of
+// in-flight extensions, and resident_curve_bytes counts readouts.
 //
 // # Eviction
 //
@@ -51,15 +65,19 @@ import (
 
 // DefaultMaxEntries is the cache capacity used when New is given a
 // non-positive one: generous for the basis-point grid of realistic
-// parameter sweeps while bounding resident curve memory.
+// parameter sweeps while bounding resident curve memory. Entries rest on
+// readouts alone, so a full default cache at the deepest horizon holds
+// about 1024 · 2 · 4096 float64s (~64 MB, plus upper-bound chains).
 const DefaultMaxEntries = 1024
 
 // MaxQueryHorizon bounds the horizon of curve, cell and bracket queries.
 // The exact chain's grid is O(k²) floats, so an unbounded client k would
 // be an unbounded allocation (k = 4096 is ~0.5 GB); queries past the cap
 // are rejected, not clamped, so callers never mistake a truncated answer
-// for the one they asked for. Worst-case resident memory is bounded by
-// MaxEntries · O(MaxQueryHorizon²); size New's capacity accordingly.
+// for the one they asked for. The grid lives only while a request
+// extends (see Readout-only residency), so worst-case resident memory is
+// MaxEntries · O(MaxQueryHorizon) readouts plus one O(MaxQueryHorizon²)
+// grid per extension in flight.
 const MaxQueryHorizon = 4096
 
 // MaxDepthKMax bounds the kmax of confirmation-depth searches. The
@@ -68,8 +86,9 @@ const MaxQueryHorizon = 4096
 const MaxDepthKMax = 1 << 20
 
 // maxUpperCurvesPerEntry bounds the per-entry map of cached upper-bound
-// chains (one per distinct saturation cap): each is O(cap²) resident, and
-// an adversarial spread of targets could otherwise accrete thousands.
+// chains (one per distinct saturation cap): each holds the readouts of a
+// search up to its kmax (up to MaxDepthKMax float64s per slice), and an
+// adversarial spread of targets could otherwise accrete thousands.
 // Realistic traffic uses a handful of targets; past the bound an
 // arbitrary cached cap is dropped and rebuilt on demand.
 const maxUpperCurvesPerEntry = 8
@@ -112,7 +131,8 @@ type entry struct {
 	upper map[int]*lattice.Curve // saturation cap → rigorous upper-bound chain
 
 	// bytes is the entry's contribution currently recorded in the global
-	// resident-bytes gauge, stored atomically so eviction can claim it
+	// resident-bytes gauge — its curves' readout slices, since a resting
+	// entry holds no engine — stored atomically so eviction can claim it
 	// without taking the (possibly long-held) entry lock. The eviction
 	// protocol is claim-by-swap: whoever swaps bytes to 0 subtracts exactly
 	// what it swapped out, and a mutator that finds evicted set after
@@ -281,8 +301,9 @@ func (o *Oracle) accountLocked(e *entry) {
 }
 
 // extendLocked brings the entry's main curve to horizon ≥ k, classifying
-// the work as a cold build (first steps of this chain) or an in-place
-// extension and timing it. The caller holds e.mu.
+// the work as a cold build (first steps of this chain) or an extension
+// and timing it, then releases the engine so the entry rests on its
+// readouts. The caller holds e.mu.
 func (o *Oracle) extendLocked(e *entry, k int, tr *telemetry.Trace) error {
 	if e.curve == nil {
 		e.curve = e.comp.Curve(e.key.Tau())
@@ -292,17 +313,22 @@ func (o *Oracle) extendLocked(e *entry, k int, tr *telemetry.Trace) error {
 		return nil
 	}
 	start := time.Now()
-	if err := e.curve.Extend(k); err != nil {
-		return err
+	err := e.curve.Extend(k)
+	e.curve.Release()
+	if err == nil {
+		o.recordWork(e, prev, k, start, tr)
 	}
-	o.recordWork(e, prev, k, start, tr)
 	o.accountLocked(e)
-	return nil
+	return err
 }
 
 // upperLocked returns the entry's rigorous upper-bound curve for the given
-// saturation cap, extended to horizon ≥ k. The caller holds e.mu.
-func (o *Oracle) upperLocked(e *entry, cap, k int, tr *telemetry.Trace) (*lattice.Curve, error) {
+// saturation cap, extended to horizon ≥ k, and whether this call ran
+// lattice steps on it (even if they then failed). The curve keeps its
+// engine, so the next step of the caller's doubling search continues the
+// sweep; the caller holds e.mu and releases a grown curve when the search
+// is done.
+func (o *Oracle) upperLocked(e *entry, cap, k int, tr *telemetry.Trace) (*lattice.Curve, bool, error) {
 	if e.upper == nil {
 		e.upper = make(map[int]*lattice.Curve)
 	}
@@ -319,24 +345,24 @@ func (o *Oracle) upperLocked(e *entry, cap, k int, tr *telemetry.Trace) (*lattic
 	}
 	prev := uc.Len()
 	if k <= prev {
-		return uc, nil
+		return uc, false, nil
 	}
 	start := time.Now()
 	if err := uc.Extend(k); err != nil {
-		return nil, err
+		return uc, true, err
 	}
 	o.recordWork(e, prev, k, start, tr)
-	o.accountLocked(e)
-	return uc, nil
+	return uc, true, nil
 }
 
 // recordWork classifies finished DP work on entry e: prev == 0 was a
-// cold build, anything else an incremental extension of prev → k. The
+// cold build, anything else an extension of prev → k (which replays the
+// first prev steps when the curve had released its engine). The
 // duration lands in the matching latency histogram (with an exemplar
 // linking the bucket to this trace) and a build/extend span under the
-// request's root carrying the canonical key and the number of lattice
-// steps computed. DP work is inherently a cold path, so the span's key
-// attribute may allocate.
+// request's root carrying the canonical key and the number of new
+// horizons computed. DP work is inherently a cold path, so the span's
+// key attribute may allocate.
 func (o *Oracle) recordWork(e *entry, prev, k int, start time.Time, tr *telemetry.Trace) {
 	d := time.Since(start)
 	name, trID := "extend", ""
@@ -392,7 +418,6 @@ func validDepth(target float64, kmax int) error {
 // served from the cache. DP and lock-wait time are recorded as spans of
 // the request trace carried by ctx (if any).
 func (o *Oracle) SettlementCurveCtx(ctx context.Context, alpha, ph float64, k int) ([]float64, error) {
-	o.curveQ.Add(1)
 	if err := validHorizon(k); err != nil {
 		return nil, err
 	}
@@ -401,6 +426,7 @@ func (o *Oracle) SettlementCurveCtx(ctx context.Context, alpha, ph float64, k in
 	if err != nil {
 		return nil, err
 	}
+	o.curveQ.Add(1)
 	o.lockEntry(e, tr)
 	defer e.mu.Unlock()
 	if err := o.extendLocked(e, k, tr); err != nil {
@@ -413,7 +439,6 @@ func (o *Oracle) SettlementCurveCtx(ctx context.Context, alpha, ph float64, k in
 // horizon k — the Table 1 quantity, served from the cache and traced
 // through ctx.
 func (o *Oracle) SettlementFailureCtx(ctx context.Context, alpha, ph float64, k int) (float64, error) {
-	o.cellQ.Add(1)
 	if err := validHorizon(k); err != nil {
 		return 0, err
 	}
@@ -422,6 +447,7 @@ func (o *Oracle) SettlementFailureCtx(ctx context.Context, alpha, ph float64, k 
 	if err != nil {
 		return 0, err
 	}
+	o.cellQ.Add(1)
 	o.lockEntry(e, tr)
 	defer e.mu.Unlock()
 	if err := o.extendLocked(e, k, tr); err != nil {
@@ -445,7 +471,6 @@ func (o *Oracle) TableCellCtx(ctx context.Context, frac float64, k int, alpha fl
 // bracket to the exact value), traced through ctx. Brackets at different
 // τ are different chains and cache under different keys.
 func (o *Oracle) SettlementBracketCtx(ctx context.Context, alpha, ph float64, k int, tau float64) (lower, upper float64, err error) {
-	o.bracketQ.Add(1)
 	if err := validHorizon(k); err != nil {
 		return 0, 0, err
 	}
@@ -454,6 +479,7 @@ func (o *Oracle) SettlementBracketCtx(ctx context.Context, alpha, ph float64, k 
 	if err != nil {
 		return 0, 0, err
 	}
+	o.bracketQ.Add(1)
 	o.lockEntry(e, tr)
 	defer e.mu.Unlock()
 	if err := o.extendLocked(e, k, tr); err != nil {
@@ -466,10 +492,10 @@ func (o *Oracle) SettlementBracketCtx(ctx context.Context, alpha, ph float64, k 
 // ConfirmationDepthCtx returns the smallest depth k ≤ kmax whose
 // certified settlement-failure bound is at most target —
 // core.Analyzer's doubling search run over the cached upper-bound chain,
-// so repeated depth queries at one parameter point pay only incremental
-// lattice steps. Traced through ctx.
+// so a repeated depth query at one parameter point is answered from the
+// chain's readouts without lattice work, and only a query that searches
+// deeper pays for a sweep. Traced through ctx.
 func (o *Oracle) ConfirmationDepthCtx(ctx context.Context, alpha, ph, target float64, kmax int) (int, error) {
-	o.depthQ.Add(1)
 	if err := validDepth(target, kmax); err != nil {
 		return 0, err
 	}
@@ -478,6 +504,7 @@ func (o *Oracle) ConfirmationDepthCtx(ctx context.Context, alpha, ph, target flo
 	if err != nil {
 		return 0, err
 	}
+	o.depthQ.Add(1)
 	o.lockEntry(e, tr)
 	defer e.mu.Unlock()
 	return o.depthLocked(e, target, kmax, tr)
@@ -485,11 +512,24 @@ func (o *Oracle) ConfirmationDepthCtx(ctx context.Context, alpha, ph, target flo
 
 // depthLocked runs the doubling search under the entry lock for a query
 // that passed validDepth; it is shared by ConfirmationDepthCtx and the
-// batch executor.
+// batch executor. The search extends the upper-bound chain step after
+// step on one engine, which is released once the search is over.
 func (o *Oracle) depthLocked(e *entry, target float64, kmax int, tr *telemetry.Trace) (int, error) {
 	cap := e.comp.CapForTarget(target)
-	extend := func(k int) (*lattice.Curve, error) { return o.upperLocked(e, cap, k, tr) }
-	return settlement.DepthSearch(extend, target, kmax)
+	var grown *lattice.Curve // the chain this search ran steps on, if any
+	extend := func(k int) (*lattice.Curve, error) {
+		uc, grew, err := o.upperLocked(e, cap, k, tr)
+		if grew {
+			grown = uc
+		}
+		return uc, err
+	}
+	d, err := settlement.DepthSearch(extend, target, kmax)
+	if grown != nil {
+		grown.Release()
+		o.accountLocked(e)
+	}
+	return d, err
 }
 
 // Stats returns a snapshot of the oracle's counters.

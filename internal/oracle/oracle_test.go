@@ -11,6 +11,7 @@ import (
 
 	"multihonest/internal/charstring"
 	"multihonest/internal/core"
+	"multihonest/internal/lattice"
 	"multihonest/internal/settlement"
 )
 
@@ -375,6 +376,94 @@ func TestOracleBatchInvalidLeavesCache(t *testing.T) {
 	if after.Entries != before.Entries || after.Misses != before.Misses || after.Evictions != before.Evictions {
 		t.Fatalf("invalid batch touched the cache: entries/misses/evictions %d/%d/%d → %d/%d/%d",
 			before.Entries, before.Misses, before.Evictions, after.Entries, after.Misses, after.Evictions)
+	}
+}
+
+// TestOracleQueryCounts: both paths count a query once it has passed
+// validation and reached its cache entry, so an invalid GET-path query
+// and an invalid batch query leave oracle_queries_total{op} alone and a
+// valid one of each adds exactly 1.
+func TestOracleQueryCounts(t *testing.T) {
+	o := New(4)
+	frac := 0.5
+	if _, err := o.SettlementCurveCtx(ctx, 0.25, 0.375, 0); err == nil {
+		t.Fatal("k = 0 accepted")
+	}
+	res, _, err := o.BatchCtx(ctx, []BatchQuery{{Op: "curve", Alpha: 0.25, Frac: &frac, K: 0}}, 1)
+	if err != nil || res[0].Error == "" {
+		t.Fatalf("invalid batch curve query: err %v, result %+v", err, res[0])
+	}
+	if n := o.Stats().CurveQueries; n != 0 {
+		t.Fatalf("invalid queries counted: CurveQueries = %d, want 0", n)
+	}
+	if _, err := o.SettlementCurveCtx(ctx, 0.25, 0.375, 10); err != nil {
+		t.Fatal(err)
+	}
+	if n := o.Stats().CurveQueries; n != 1 {
+		t.Fatalf("after one valid GET-path query: CurveQueries = %d, want 1", n)
+	}
+	if res, _, err := o.BatchCtx(ctx, []BatchQuery{{Op: "curve", Alpha: 0.25, Frac: &frac, K: 10}}, 1); err != nil || res[0].Error != "" {
+		t.Fatalf("valid batch curve query: err %v, result %+v", err, res[0])
+	}
+	if n := o.Stats().CurveQueries; n != 2 {
+		t.Fatalf("after one valid batch query: CurveQueries = %d, want 2", n)
+	}
+}
+
+// TestOracleReadoutResidency: after a warm pass over every op — exact
+// curves across several ladder capacities, a pruned bracket chain, and
+// depth searches on upper-bound chains — no resident entry holds a
+// lattice engine: the resident-bytes gauge equals the sum of the
+// entries' readout slices, cap × 8 bytes each.
+func TestOracleReadoutResidency(t *testing.T) {
+	o := New(16)
+	for _, k := range []int{10, 17, 70, 200} {
+		if _, err := o.SettlementCurveCtx(ctx, 0.25, 0.375, k); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := o.SettlementBracketCtx(ctx, 0.30, 0.35, k, 1e-30); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, target := range []float64{1e-3, 1e-9} {
+		if _, err := o.ConfirmationDepthCtx(ctx, 0.25, 0.375, target, 4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frac := 0.5
+	if _, _, err := o.BatchCtx(ctx, []BatchQuery{
+		{Op: "curve", Alpha: 0.20, Frac: &frac, K: 50},
+		{Op: "depth", Alpha: 0.20, Frac: &frac, Target: 1e-6, KMax: 1000},
+	}, 1); err != nil {
+		t.Fatal(err)
+	}
+	var readouts int64
+	curves := 0
+	o.mu.Lock()
+	for _, e := range o.entries {
+		e.mu.Lock()
+		all := []*lattice.Curve{e.curve}
+		for _, uc := range e.upper {
+			all = append(all, uc)
+		}
+		for _, c := range all {
+			if c == nil {
+				continue
+			}
+			curves++
+			readouts += c.ReadoutBytes()
+			if c.MemBytes() != c.ReadoutBytes() {
+				t.Errorf("key %+v: a resting curve holds %d engine bytes", e.key, c.MemBytes()-c.ReadoutBytes())
+			}
+		}
+		e.mu.Unlock()
+	}
+	o.mu.Unlock()
+	if curves < 5 {
+		t.Fatalf("warm pass left %d curves resident, want ≥ 5", curves)
+	}
+	if got := o.Stats().ResidentCurveBytes; got != readouts {
+		t.Fatalf("ResidentCurveBytes = %d, want the readout slices' %d", got, readouts)
 	}
 }
 

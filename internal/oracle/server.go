@@ -1,12 +1,14 @@
 package oracle
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -72,12 +74,38 @@ type httpError struct {
 	Error string `json:"error"`
 }
 
+// jsonBuf is a reusable response encoder: an indenting json.Encoder over
+// its own buffer. A fresh encoder per response would regrow its indent
+// buffer every time; a pooled one keeps it, and its output is the same
+// encoder's bytes.
+type jsonBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonBufs = sync.Pool{New: func() any {
+	b := new(jsonBuf)
+	b.enc = json.NewEncoder(&b.buf)
+	b.enc.SetIndent("", "  ")
+	return b
+}}
+
+// maxPooledJSON bounds the buffers returned to jsonBufs, so one large
+// batch or deep-curve response does not stay pinned in the pool.
+const maxPooledJSON = 64 << 10
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	b := jsonBufs.Get().(*jsonBuf)
+	b.buf.Reset()
+	// Encode appends nothing when marshalling fails, so the client then
+	// gets the status and an empty body.
+	_ = b.enc.Encode(v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the status line is already out; nothing to recover
+	_, _ = w.Write(b.buf.Bytes()) // the status line is out; nothing to recover
+	if b.buf.Cap() <= maxPooledJSON {
+		jsonBufs.Put(b)
+	}
 }
 
 func badRequest(w http.ResponseWriter, err error) {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"testing"
 )
 
@@ -124,8 +125,9 @@ func TestGETWireBytes(t *testing.T) {
 // TestGETWarmAllocs caps the allocation count of a warm GET of each op,
 // answered from a resident curve, httptest recorder and request included.
 // The caps are the counts measured with one parse of the URL query per
-// request (go1.24, linux/amd64); a rise means the query path grew a
-// per-request allocation.
+// request and a pooled response encoder (go1.24, linux/amd64; 29/29/31/
+// 30/33 with a fresh encoder per response); a rise means the query path
+// grew a per-request allocation.
 func TestGETWarmAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector makes sync.Pool drop items at random, so net/http and encoding/json allocate more")
@@ -135,11 +137,11 @@ func TestGETWarmAllocs(t *testing.T) {
 		url  string
 		want float64
 	}{
-		{"/v1/cell?alpha=0.30&frac=0.25&k=60", 29},
-		{"/v1/failure?alpha=0.30&frac=0.25&k=60", 29},
-		{"/v1/bracket?alpha=0.30&frac=0.25&k=60&tau=1e-30", 31},
-		{"/v1/depth?alpha=0.25&frac=0.5&target=1e-6&kmax=4096", 30},
-		{"/v1/curve?alpha=0.30&frac=0.25&k=20", 33},
+		{"/v1/cell?alpha=0.30&frac=0.25&k=60", 24},
+		{"/v1/failure?alpha=0.30&frac=0.25&k=60", 24},
+		{"/v1/bracket?alpha=0.30&frac=0.25&k=60&tau=1e-30", 25},
+		{"/v1/depth?alpha=0.25&frac=0.5&target=1e-6&kmax=4096", 25},
+		{"/v1/curve?alpha=0.30&frac=0.25&k=20", 25},
 	} {
 		serve := func() {
 			rr := httptest.NewRecorder()
@@ -152,5 +154,41 @@ func TestGETWarmAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(200, serve); got > c.want {
 			t.Errorf("%s: %v allocs per warm GET, want ≤ %v", c.url, got, c.want)
 		}
+	}
+}
+
+// discardWriter is a ResponseWriter that allocates nothing of its own.
+type discardWriter struct{ h http.Header }
+
+func (w discardWriter) Header() http.Header         { return w.h }
+func (w discardWriter) WriteHeader(int)             {}
+func (w discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestGETWarmBytes caps the bytes a warm 200-point curve GET allocates in
+// the handler (no recorder). A fresh indenting encoder per response
+// regrew its indent buffer every time: 20.2 KB per request (go1.24,
+// linux/amd64). The pooled encoder measured 2.34 KB; the cap leaves 3%
+// for sync.Pool refills after a GC.
+func TestGETWarmBytes(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	h := NewServer(New(0), 1).Handler()
+	req := httptest.NewRequest(http.MethodGet, "/v1/curve?alpha=0.30&frac=0.25&k=200", nil)
+	w := discardWriter{h: http.Header{}}
+	serve := func() {
+		clear(w.h)
+		h.ServeHTTP(w, req)
+	}
+	serve() // warm the chain and the encoder pool
+	const runs = 1000
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		serve()
+	}
+	runtime.ReadMemStats(&m1)
+	if got := float64(m1.TotalAlloc-m0.TotalAlloc) / runs; got > 2400 {
+		t.Errorf("warm curve GET (k = 200): %.0f bytes allocated per request, want ≤ 2400", got)
 	}
 }

@@ -9,25 +9,39 @@ import (
 // wait, coalesced wait, DP build, curve extension, peer forward, hedged
 // local compute, serialization) can open a named span with a parent, a
 // start offset, a duration, and a few key=value attributes. Recording
-// must never allocate and never take a lock, because spans are created
-// on the oracle serve path whose zero-allocation contract is pinned by
-// tests and a CI perf gate.
+// never takes a lock, and the first six spans of a trace (inlineSpans)
+// never allocate, because spans are created on the oracle serve path
+// whose zero-allocation contract is pinned by tests and a CI perf gate.
 //
-// Spans therefore live in a fixed-capacity arena embedded in the Trace
-// itself. A writer reserves a slot with one atomic add, fills the
-// slot's plain fields, and publishes it with an atomic store; readers
-// (the flight recorder's /debug/traces handler, which may scrape a
-// trace while a hedged local compute is still writing into it) observe
-// a slot only after its release-store, so concurrent record/scrape is
-// race-detector-clean. When the arena is full further spans are counted
-// as dropped, never reallocated — a request with pathological fan-out
-// degrades to a truncated tree, not to an allocation on the hot path.
+// Spans therefore live in a fixed-capacity arena: inlineSpans slots
+// embedded in the Trace itself, which cover a warm request (root,
+// queue, serialize) and a cold one (plus build or extend, coalesce
+// wait), and one overflow chunk for the remaining MaxSpans−inlineSpans
+// slots, which only forward, hedge and batch requests reach. The first
+// writer past the inline slots allocates the chunk and publishes it
+// with a compare-and-swap; a racing writer that loses drops its own
+// chunk and uses the winner's. So recording stays lock-free, and a trace
+// allocates once more after NewTrace at most, barring such a race.
+//
+// A writer reserves a slot with one atomic add, fills the slot's plain
+// fields, and publishes it with an atomic store; readers (the flight
+// recorder's /debug/traces handler, which may scrape a trace while a
+// hedged local compute is still writing into it) observe a slot only
+// after its release-store, and a slot of a chunk not yet published as
+// unpublished, so concurrent record/scrape is race-detector-clean. When
+// the arena is full further spans are counted as dropped, never
+// reallocated — a request with pathological fan-out degrades to a
+// truncated tree.
 
 // MaxSpans is the span-arena capacity of one Trace. Sized for the
 // deepest realistic request — root, queue, forward with per-attempt
 // children, hedged local compute, a batch's per-group spans, serialize —
 // with headroom; overflow increments Trace.DroppedSpans.
 const MaxSpans = 32
+
+// inlineSpans is how many arena slots are embedded in the Trace; spans
+// past it go to the lazily allocated overflow chunk.
+const inlineSpans = 6
 
 // maxSpanAttrs bounds the key=value attributes of one span.
 const maxSpanAttrs = 4
@@ -67,7 +81,8 @@ type SpanRef struct {
 func (s SpanRef) Active() bool { return s.tr != nil && s.slot > 0 }
 
 // reserve claims one arena slot, or -1 when the trace is nil, sealed,
-// or full. Never allocates.
+// or full. It allocates only when it claims the first slot past the
+// inline ones and finds the overflow chunk not yet there.
 func (t *Trace) reserve() int32 {
 	if t == nil {
 		return -1
@@ -80,18 +95,44 @@ func (t *Trace) reserve() int32 {
 		t.droppedSpans.Add(1)
 		return -1
 	}
+	if idx >= inlineSpans && t.more.Load() == nil {
+		t.more.CompareAndSwap(nil, new([MaxSpans - inlineSpans]span))
+	}
 	return idx
+}
+
+// slot returns arena slot i, or nil when i lies in an overflow chunk no
+// writer has allocated yet (a reader then sees that slot unpublished).
+// A reserved slot is never nil.
+func (t *Trace) slot(i int32) *span {
+	if i < inlineSpans {
+		return &t.spans[i]
+	}
+	more := t.more.Load()
+	if more == nil {
+		return nil
+	}
+	return &more[i-inlineSpans]
+}
+
+// published returns arena slot i when a writer has published it, else nil.
+func (t *Trace) published(i int32) *span {
+	if sp := t.slot(i); sp != nil && sp.state.Load() != 0 {
+		return sp
+	}
+	return nil
 }
 
 // StartSpan opens a span named name under parent (the zero SpanRef
 // makes it a root) starting now. Returns an inert ref on a nil or
-// sealed trace or a full arena. Zero-alloc, lock-free.
+// sealed trace or a full arena. Lock-free; allocation-free except for
+// the overflow chunk (see reserve).
 func (t *Trace) StartSpan(name string, parent SpanRef) SpanRef {
 	idx := t.reserve()
 	if idx < 0 {
 		return SpanRef{}
 	}
-	sp := &t.spans[idx]
+	sp := t.slot(idx)
 	sp.name = name
 	sp.parent = 0
 	if parent.tr == t && parent.slot > 0 {
@@ -106,13 +147,14 @@ func (t *Trace) StartSpan(name string, parent SpanRef) SpanRef {
 // AddSpan records an already-completed span in one call — the shape
 // used where the duration is known at the end of the work (coalesce
 // waits, DP builds, per-batch runner intervals). start may precede the
-// trace's own start (clamped to 0). Zero-alloc, lock-free.
+// trace's own start (clamped to 0). Lock-free; allocation-free except
+// for the overflow chunk (see reserve).
 func (t *Trace) AddSpan(name string, parent SpanRef, start time.Time, d time.Duration) SpanRef {
 	idx := t.reserve()
 	if idx < 0 {
 		return SpanRef{}
 	}
-	sp := &t.spans[idx]
+	sp := t.slot(idx)
 	sp.name = name
 	sp.parent = 0
 	if parent.tr == t && parent.slot > 0 {
@@ -156,8 +198,8 @@ func (t *Trace) AppendPhases(dst []byte) []byte {
 	var sums [MaxSpans]time.Duration
 	k := 0
 	for i := int32(0); i < n; i++ {
-		sp := &t.spans[i]
-		if sp.state.Load() == 0 || sp.parent != 1 {
+		sp := t.published(i)
+		if sp == nil || sp.parent != 1 {
 			continue
 		}
 		d := time.Duration(sp.durNS.Load())
@@ -194,7 +236,7 @@ func (s SpanRef) End() {
 	if !s.Active() {
 		return
 	}
-	sp := &s.tr.spans[s.slot-1]
+	sp := s.tr.slot(s.slot - 1)
 	sp.durNS.Store(int64(time.Since(s.tr.start)) - sp.startNS)
 }
 
@@ -213,7 +255,7 @@ func (s SpanRef) SetAttr(key, val string) {
 	if !s.Active() {
 		return
 	}
-	sp := &s.tr.spans[s.slot-1]
+	sp := s.tr.slot(s.slot - 1)
 	n := sp.nattrs.Load()
 	if n > maxSpanAttrs {
 		n = maxSpanAttrs
@@ -239,7 +281,7 @@ func (s SpanRef) SetValue(v int64) {
 	if !s.Active() {
 		return
 	}
-	s.tr.spans[s.slot-1].value.Store(v)
+	s.tr.slot(s.slot - 1).value.Store(v)
 }
 
 // ValidTraceID reports whether s is a well-formed trace ID as minted by
@@ -309,8 +351,8 @@ func (t *Trace) Snapshot() TraceSnapshot {
 	var remap [MaxSpans]int
 	out.Spans = make([]SpanSnapshot, 0, n)
 	for i := int32(0); i < n; i++ {
-		sp := &t.spans[i]
-		if sp.state.Load() == 0 {
+		sp := t.published(i)
+		if sp == nil {
 			remap[i] = -1
 			continue
 		}

@@ -188,6 +188,69 @@ func TestConcurrentSpansAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestSpanOverflowChunkRace starts writers together on traces whose
+// inline slots are full, so several race to allocate the overflow chunk,
+// while a reader snapshots and renders phases. Every slot up to MaxSpans
+// must hold exactly one writer's span, the rest must count as dropped,
+// and nothing may tear under -race.
+func TestSpanOverflowChunkRace(t *testing.T) {
+	const writers, perWriter = 4, 12
+	for trial := 0; trial < 50; trial++ {
+		tr := NewTrace("")
+		root := tr.StartSpan("request", SpanRef{})
+		for tr.nspans.Load() < inlineSpans {
+			tr.AddSpan("inline", root, tr.Start(), time.Microsecond)
+		}
+		if tr.more.Load() != nil {
+			t.Fatal("overflow chunk allocated before the inline slots were full")
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			var buf [256]byte
+			for tr.nspans.Load() < inlineSpans+writers*perWriter {
+				for _, sp := range tr.Snapshot().Spans {
+					if sp.Name == "" {
+						t.Error("snapshot exposed an unnamed span")
+						return
+					}
+				}
+				_ = tr.AppendPhases(buf[:0])
+			}
+		}()
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < perWriter; i++ {
+					sp := tr.StartSpan("work", root)
+					sp.SetAttr("w", "x")
+					sp.SetValue(int64(i + 1))
+					sp.End()
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		<-done
+		snap := tr.Snapshot()
+		if len(snap.Spans) != MaxSpans {
+			t.Fatalf("trial %d: spans = %d, want the full arena %d", trial, len(snap.Spans), MaxSpans)
+		}
+		for i, sp := range snap.Spans[inlineSpans:] {
+			if sp.Name != "work" || sp.Parent != 0 || sp.Value < 1 || sp.Attrs["w"] != "x" {
+				t.Fatalf("trial %d: overflow span %d = %+v", trial, inlineSpans+i, sp)
+			}
+		}
+		if want := int64(inlineSpans + writers*perWriter - MaxSpans); tr.DroppedSpans() != want {
+			t.Fatalf("trial %d: dropped = %d, want %d", trial, tr.DroppedSpans(), want)
+		}
+	}
+}
+
 func TestSpanZeroAlloc(t *testing.T) {
 	tr := NewTrace("")
 	root := tr.StartSpan("request", SpanRef{})
@@ -206,6 +269,28 @@ func TestSpanZeroAlloc(t *testing.T) {
 		tr.StartSpan("overflow", root)
 	}); allocs != 0 {
 		t.Fatalf("overflow drop: %v allocs/op, want 0", allocs)
+	}
+	// A fresh trace records its first inlineSpans spans without any
+	// allocation: the warm and cold request paths stay inside them.
+	fresh := make([]*Trace, 201) // AllocsPerRun calls f runs+1 times
+	for i := range fresh {
+		fresh[i] = NewTrace("")
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		tr := fresh[next]
+		next++
+		root := tr.StartSpan("request", SpanRef{})
+		root.SetAttr("cache", "hit")
+		for i := 1; i < inlineSpans; i++ {
+			tr.AddSpan("queue", root, start, time.Microsecond).SetValue(int64(i))
+		}
+		root.End()
+	}); allocs != 0 {
+		t.Fatalf("first %d spans of a fresh trace: %v allocs/op, want 0", inlineSpans, allocs)
+	}
+	if fresh[0].more.Load() != nil {
+		t.Fatal("a trace of inlineSpans spans allocated its overflow chunk")
 	}
 }
 

@@ -10,12 +10,14 @@
 // Recording is lock-free and allocation-free: Counter.Add and Gauge.Set are
 // single atomic operations, Histogram.Observe is a bounded linear scan over
 // the bucket bounds plus two atomics, and Trace.AddSpan claims one slot of
-// a fixed arena. All recording methods are nil-receiver-safe, so
-// uninstrumented code paths pay one nil check and no branches at call
-// sites. Registration (Counter, Gauge, Histogram, Vec.With) takes locks
-// and allocates; do it at startup, never per sample. These properties are
-// pinned by AllocsPerRun tests in this package and by the zero-alloc
-// guards on the oracle serve path and the fused MC loop.
+// a fixed arena (a trace's first six spans never allocate; the rest share
+// one overflow chunk allocated on first use). All recording methods are
+// nil-receiver-safe, so uninstrumented code paths pay one nil check and
+// no branches at call sites. Registration (Counter, Gauge, Histogram,
+// Vec.With) takes locks and allocates; do it at startup, never per
+// sample. These properties are pinned by AllocsPerRun tests in this
+// package and by the zero-alloc guards on the oracle serve path and the
+// fused MC loop.
 //
 // # Exposition
 //

@@ -75,9 +75,10 @@ var flagNameTab = []struct {
 }
 
 // Trace is one request's identity and span tree. Recording is atomic
-// writes into a fixed arena — no locks, no allocation — and safe from
-// the hedge race's concurrent goroutines. A nil *Trace discards all
-// recordings, so instrumented code needs no call-site branches.
+// writes into a fixed arena — no locks, and no allocation for the first
+// six spans — and safe from the hedge race's concurrent
+// goroutines. A nil *Trace discards all recordings, so instrumented code
+// needs no call-site branches.
 //
 // Traces are allocated fresh per request and must never be pooled: a
 // hedged local compute runs under context.WithoutCancel and may keep
@@ -94,7 +95,11 @@ type Trace struct {
 
 	nspans       atomic.Int32
 	droppedSpans atomic.Int64
-	spans        [MaxSpans]span
+	spans        [inlineSpans]span // slots 0..inlineSpans-1
+	// more holds slots inlineSpans..MaxSpans-1. The first writer past
+	// the inline slots allocates it and publishes it by CAS, so
+	// recording stays lock-free (see span.go).
+	more atomic.Pointer[[MaxSpans - inlineSpans]span]
 }
 
 // NewTrace starts a trace now; an empty id mints a fresh one.
