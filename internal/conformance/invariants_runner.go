@@ -20,7 +20,7 @@ func runnerInvariants() []Invariant {
 				"slice verdict on the symbols decoded from that sample's own " +
 				"SampleSeed stream, because the sampling scheme is defined " +
 				"over batches and samples, not workers.",
-			Anchor: "runner.SampleSeed / runner.streamPool (internal/runner)",
+			Anchor: "runner.SampleSeed / runner.runBatches (internal/runner)",
 			Check:  checkRunnerWorkerInvariance,
 		},
 		{
@@ -28,7 +28,7 @@ func runnerInvariants() []Invariant {
 			Statement: "RunStreamWeightedBlocks folds float partial sums in " +
 				"batch index order, so the WeightedEstimate — including its " +
 				"float sums — is bit-identical at every worker count.",
-			Anchor: "runner.runWeightedPool batch-ordered fold (internal/runner/weighted.go)",
+			Anchor: "runner.runBatches batch-ordered fold (internal/runner/runner.go)",
 			Check:  checkRunnerWeightedWorkerInvariance,
 		},
 		{

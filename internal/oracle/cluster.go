@@ -225,7 +225,7 @@ func (c *Cluster) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		c.local.ServeHTTP(w, r) // nothing to shard across
 		return
 	}
-	key, ok := chainKeyOf(r)
+	q, key, ok := routedQuery(r)
 	if !ok {
 		c.local.ServeHTTP(w, r)
 		return
@@ -234,16 +234,22 @@ func (c *Cluster) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// Already hopped once: answer here regardless of ownership, so a
 		// disagreeing peer map cannot loop.
 		c.loopServes.Add(1)
-		c.local.ServeHTTP(w, r)
+		c.serveLocal(w, r, q)
 		return
 	}
 	owner := c.owner(key)
 	if owner == c.self {
-		c.local.ServeHTTP(w, r)
+		c.serveLocal(w, r, q)
 		return
 	}
 	c.perPeer[owner].forwards.Add(1)
-	c.forwardOrHedge(w, r, owner)
+	c.forwardOrHedge(w, r, q, owner)
+}
+
+// serveLocal answers a routed query on this replica from the parse that
+// routed it.
+func (c *Cluster) serveLocal(w http.ResponseWriter, r *http.Request, q getQuery) {
+	c.srv.serveQuery(r.Context(), traceOf(r), w, q)
 }
 
 // owner picks the replica for a chain key by highest-random-weight
@@ -284,23 +290,24 @@ func fnv1a[T string | []byte](h uint64, s T) uint64 {
 	return h
 }
 
-// chainKeyOf extracts the canonical chain key (τ = 0) of a
-// key-addressable query. Malformed parameters return ok=false and are
-// served locally, where they earn their 400 without a network hop.
-func chainKeyOf(r *http.Request) (Key, bool) {
+// routedQuery parses a key-addressable query once, for both routing and
+// serving, and returns it with its canonical chain key (τ = 0).
+// Malformed parameters return ok=false and are served locally, where
+// they earn their 400 without a network hop.
+func routedQuery(r *http.Request) (getQuery, Key, bool) {
 	op, ok := strings.CutPrefix(r.URL.Path, "/v1/")
 	if r.Method != http.MethodGet || !ok || !slices.Contains(getOps, op) {
-		return Key{}, false
+		return getQuery{}, Key{}, false
 	}
 	q, err := parseQuery(op, r.URL.Query())
 	if err != nil {
-		return Key{}, false
+		return getQuery{}, Key{}, false
 	}
 	key, _, err := Canonicalize(q.alpha, q.ph, 0)
 	if err != nil {
-		return Key{}, false
+		return getQuery{}, Key{}, false
 	}
-	return key, true
+	return q, key, true
 }
 
 // bufferedResponse captures a whole response so the forward/hedge race
@@ -325,7 +332,7 @@ func (b *bufferedResponse) Write(p []byte) (int, error) { return b.body.Write(p)
 // the hedged local compute as a hedge_local child — tagged with the peer
 // and which side won; hedge and breaker activity flags the trace for the
 // flight recorder's tail sampler.
-func (c *Cluster) forwardOrHedge(w http.ResponseWriter, r *http.Request, owner string) {
+func (c *Cluster) forwardOrHedge(w http.ResponseWriter, r *http.Request, q getQuery, owner string) {
 	tr := telemetry.TraceFrom(r.Context())
 	fwdSpan := tr.StartSpan("forward", tr.Root())
 	fwdSpan.SetAttr("peer", owner)
@@ -373,7 +380,7 @@ func (c *Cluster) forwardOrHedge(w http.ResponseWriter, r *http.Request, owner s
 			if !hedging {
 				fwdSpan.SetAttr("winner", "local_fallback")
 				fwdSpan.End()
-				c.local.ServeHTTP(w, r)
+				c.serveLocal(w, r, q)
 				return
 			}
 			fwdc = nil
@@ -385,7 +392,7 @@ func (c *Cluster) forwardOrHedge(w http.ResponseWriter, r *http.Request, owner s
 			go func() {
 				hsp := tr.StartSpan("hedge_local", fwdSpan)
 				br := newBufferedResponse()
-				c.local.ServeHTTP(br, r.WithContext(context.WithoutCancel(r.Context())))
+				c.srv.serveQuery(context.WithoutCancel(r.Context()), traceOf(r), br, q)
 				hsp.End() // meaningful even if the trace sealed meanwhile
 				localc <- br
 			}()

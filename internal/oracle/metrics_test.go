@@ -348,7 +348,7 @@ func driveFailingForwards(t *testing.T, c *Cluster) {
 	for bp := 1000; bp < 1256 && sent < 2; bp++ {
 		alpha := float64(bp) / 1e4
 		probe := httptest.NewRequest("GET", fmt.Sprintf("/v1/cell?alpha=%g&frac=0.5&k=20", alpha), nil)
-		if key, ok := chainKeyOf(probe); !ok || c.owner(key) == c.self {
+		if _, key, ok := routedQuery(probe); !ok || c.owner(key) == c.self {
 			continue
 		}
 		for _, k := range []int{20, 21} {

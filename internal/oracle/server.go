@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -136,6 +137,7 @@ var getOps = []string{"depth", "curve", "failure", "cell", "bracket"}
 
 // getQuery is one parsed GET query.
 type getQuery struct {
+	op              string  // one of getOps
 	alpha, ph, frac float64 // frac stays 0 when the query gave ph
 	k               int     // the horizon, or kmax for depth
 	target, tau     float64
@@ -147,7 +149,7 @@ type getQuery struct {
 // cell always reads frac), then the op's own. The error names the first
 // missing or malformed parameter.
 func parseQuery(op string, v url.Values) (getQuery, error) {
-	var q getQuery
+	q := getQuery{op: op}
 	r := paramReader{v: v}
 	q.alpha = r.float("alpha")
 	hasPh, hasFrac := v.Has("ph"), v.Has("frac")
@@ -226,18 +228,24 @@ func canonicalFields(alpha, ph float64) keyFields {
 }
 
 // handleQuery serves the GET route of every op: one parse of the query,
-// one oracle call, one encode.
+// then serveQuery.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tr := traceOf(r)
-	op := r.URL.Path[len("/v1/"):]
-	q, err := parseQuery(op, r.URL.Query())
+	q, err := parseQuery(r.URL.Path[len("/v1/"):], r.URL.Query())
 	if err != nil {
 		badRequest(w, err)
 		return
 	}
-	ctx, kf := r.Context(), canonicalFields(q.alpha, q.ph)
+	s.serveQuery(r.Context(), tr, w, q)
+}
+
+// serveQuery answers an already-parsed GET query: one oracle call, one
+// encode. The cluster tier calls it with the query it parsed to route.
+func (s *Server) serveQuery(ctx context.Context, tr *telemetry.Trace, w http.ResponseWriter, q getQuery) {
+	kf := canonicalFields(q.alpha, q.ph)
 	var answer any
-	switch op {
+	var err error
+	switch op := q.op; op {
 	case "depth":
 		var depth int
 		depth, err = s.o.ConfirmationDepthCtx(ctx, q.alpha, q.ph, q.target, q.k)

@@ -118,13 +118,13 @@ func RunStreamBlocks[V BlockVerdict](cfg Config, T int, fill BlockSampler, newVe
 	if T <= 0 {
 		return Estimate{}, fmt.Errorf("runner: non-positive sample length %d", T)
 	}
-	return streamPool(cfg, func() func(rng *SM64) (bool, error) {
+	s, err := runBatches(cfg, func() judge {
 		v := newVerdict()
 		// One Block per worker, reused by every sample: it is passed to
 		// the fill indirection and would escape a per-sample scope, which
 		// would break the zero-allocation steady state.
 		blk := new(Block)
-		return func(rng *SM64) (bool, error) {
+		return func(rng *SM64) (bool, float64, error) {
 			v.Reset()
 			for base := 0; base < T; base += BlockSize {
 				fill(rng, base, blk)
@@ -133,17 +133,22 @@ func RunStreamBlocks[V BlockVerdict](cfg Config, T int, fill BlockSampler, newVe
 					break
 				}
 			}
-			return v.Finish()
+			hit, err := v.Finish()
+			return hit, 1, err
 		}
 	})
+	if err != nil {
+		return Estimate{}, err
+	}
+	return NewEstimate(s.hits, max(cfg.N, 0)), nil
 }
 
 // RunStreamWeightedBlocks is the weighted twin of RunStreamBlocks, driving
-// WeightedBlockVerdicts over the batch-ordered float fold of
-// runWeightedPool, so the WeightedEstimate — SumW and SumW2 included — is
-// bit-identical at every worker count. Each sample's (hit, weight) equals
-// its scalar verdict's on the same stream provided FeedBlock reports the
-// exact scalar decision index (see BlockVerdict). A verdict returning a
+// WeightedBlockVerdicts on the same batch-ordered fold (runBatches), so
+// the WeightedEstimate — SumW and SumW2 included — is bit-identical at
+// every worker count. Each sample's (hit, weight) equals its scalar
+// verdict's on the same stream provided FeedBlock reports the exact
+// scalar decision index (see BlockVerdict). A verdict returning a
 // negative, NaN or infinite weight is reported as an error — a likelihood
 // ratio can never be one, so it indicates a broken proposal.
 func RunStreamWeightedBlocks[V WeightedBlockVerdict](cfg Config, T int, fill BlockSampler, newVerdict func() V) (WeightedEstimate, error) {
@@ -153,7 +158,7 @@ func RunStreamWeightedBlocks[V WeightedBlockVerdict](cfg Config, T int, fill Blo
 	if T <= 0 {
 		return WeightedEstimate{}, fmt.Errorf("runner: non-positive sample length %d", T)
 	}
-	return runWeightedPool(cfg, func() func(rng *SM64) (bool, float64, error) {
+	s, err := runBatches(cfg, func() judge {
 		v := newVerdict()
 		blk := new(Block)
 		return func(rng *SM64) (bool, float64, error) {
@@ -168,4 +173,5 @@ func RunStreamWeightedBlocks[V WeightedBlockVerdict](cfg Config, T int, fill Blo
 			return v.Finish()
 		}
 	})
+	return weightedEstimate(cfg, s, err)
 }

@@ -1,15 +1,16 @@
 package runner
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"multihonest/internal/telemetry"
 )
 
-// runnerMetrics is the package's optional telemetry export, shared by
-// both pools (streamPool, runWeightedPool). Installed once by
-// Instrument; absent, every tracker below is nil and recording is inert.
+// runnerMetrics is the package's optional telemetry export, recorded by
+// runBatches. Installed once by Instrument; absent, every tracker below
+// is nil and recording is inert.
 type runnerMetrics struct {
 	samples *telemetry.CounterVec // by job name, counted per batch
 	rate    *telemetry.GaugeVec   // samples/sec of the last finished job
@@ -50,7 +51,9 @@ func ObserveJobs(rec *telemetry.Recorder) {
 
 // jobTracker accumulates one job's telemetry; the nil tracker (package
 // uninstrumented) is inert, so pool code calls it unconditionally.
+// Workers record their batches concurrently; mu serializes them.
 type jobTracker struct {
+	mu      sync.Mutex
 	samples *telemetry.Counter
 	rate    *telemetry.Gauge
 	active  *telemetry.Gauge
@@ -100,6 +103,8 @@ func (t *jobTracker) batch(n int) {
 	if t == nil {
 		return
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.samples.Add(int64(n))
 	t.n += int64(n)
 	if t.trace != nil {

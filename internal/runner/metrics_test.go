@@ -2,7 +2,9 @@ package runner
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"multihonest/internal/charstring"
 	"multihonest/internal/telemetry"
@@ -10,8 +12,9 @@ import (
 
 // TestInstrumentRecordsJobs runs instrumented unweighted and weighted jobs
 // and checks the per-job series: sample counts exact, throughput gauge
-// set, active gauge back to zero, and the Estimate untouched by the
-// instrumentation (Name is display metadata, never sampling scheme).
+// set, active gauge back to zero, the traced job's root span exact, and
+// the Estimate untouched by the instrumentation (Name is display
+// metadata, never sampling scheme).
 func TestInstrumentRecordsJobs(t *testing.T) {
 	reg := telemetry.New()
 	Instrument(reg)
@@ -32,9 +35,17 @@ func TestInstrumentRecordsJobs(t *testing.T) {
 		t.Fatalf("instrumented estimate %+v differs from bare %+v", inst, bare)
 	}
 
-	if _, err := RunStreamWeightedBlocks(Config{N: 500, Seed: 1, Name: "job_b"}, 4, thresholdBlocks(p),
+	// job_b runs traced on four workers, whose batch records race for
+	// the tracker: the trace must still hold exactly the job's samples.
+	rec := telemetry.NewRecorder(telemetry.RecorderConfig{Capacity: 8, SampleRate: -1})
+	ObserveJobs(rec)
+	defer ObserveJobs(nil)
+	if _, err := RunStreamWeightedBlocks(Config{N: 500, Seed: 1, Workers: 4, BatchSize: 16, Name: "job_b"}, 4, thresholdBlocks(p),
 		weighted(func() WeightedStreamVerdict { return &countWeighted{T: 4, need: 1} })); err != nil {
 		t.Fatal(err)
+	}
+	if snaps := rec.Snapshot(); len(snaps) != 1 || snaps[0].Spans[0].Value != 500 {
+		t.Errorf("job_b traces = %+v, want one runner_job trace of 500 samples", snaps)
 	}
 
 	var b strings.Builder
@@ -56,6 +67,61 @@ func TestInstrumentRecordsJobs(t *testing.T) {
 	}
 	if got, _ := sc.Value("runner_active_jobs", nil); got != 0 {
 		t.Errorf("active jobs = %v after completion, want 0", got)
+	}
+}
+
+// gateState is a one-step weighted state whose second Begin (across all
+// instances) signals entered and then waits for release, holding its
+// job open.
+type gateState struct {
+	calls   *atomic.Int64
+	entered chan<- struct{}
+	release <-chan struct{}
+}
+
+func (s *gateState) Begin(*SM64) {
+	if s.calls.Add(1) == 2 {
+		close(s.entered)
+		<-s.release
+	}
+}
+func (s *gateState) Step(*SM64) bool                { return true }
+func (s *gateState) Finish() (bool, float64, error) { return true, 1, nil }
+
+// TestWeightedJobCountsLiveSamples: a weighted job's finished batches
+// reach runner_samples_total while the job is still running — each
+// worker records its own batches as they finish, not at the final fold.
+func TestWeightedJobCountsLiveSamples(t *testing.T) {
+	reg := telemetry.New()
+	Instrument(reg)
+	defer met.Store(nil)
+	samples := met.Load().samples.With("live_job")
+
+	var calls atomic.Int64
+	entered, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		// One worker, one sample per batch: batch 0 finishes, then batch
+		// 1 blocks in its first Begin until released.
+		_, err := RunWeightedStates(Config{N: 2, Seed: 1, Workers: 1, BatchSize: 1, Name: "live_job"},
+			func() WeightedState { return &gateState{calls: &calls, entered: entered, release: release} })
+		done <- err
+	}()
+	<-entered
+	deadline := time.Now().Add(2 * time.Second)
+	for samples.Value() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	live := samples.Value()
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if live <= 0 {
+		t.Errorf("runner_samples_total{job=live_job} = %d while the job ran, want > 0", live)
+	}
+	if got := samples.Value(); got != 2 {
+		t.Errorf("runner_samples_total{job=live_job} = %d after the job, want 2", got)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -37,31 +36,47 @@ func (v *advBlock) Finish() (bool, error) { return 3*v.adv > v.T, nil }
 
 func newAdv(T int) func() *advBlock { return func() *advBlock { return &advBlock{T: T} } }
 
-// TestDeterministicAcrossWorkers: a block-native verdict with a partial
-// tail block gives a bit-identical Estimate at 1, 4 and 8 workers, under
-// different GOMAXPROCS settings.
+// TestDeterministicAcrossWorkers: the same (N, Seed, BatchSize) gives a
+// bit-identical Estimate at 1, 4 and 8 workers, under different
+// GOMAXPROCS settings, for a block-native verdict with a partial tail
+// block and for a scalar scanner lifted to blocks.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	p := charstring.MustParams(0.3, 0.2)
-	const T = 100 // one full block and a 36-symbol tail
-	ref, err := RunStreamBlocks(Config{N: 10_000, Seed: 42, Workers: 1}, T, thresholdBlocks(p), newAdv(T))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.N != 10_000 || ref.Hits == 0 || ref.Hits == ref.N {
-		t.Fatalf("degenerate reference estimate %v", ref)
-	}
-	for _, procs := range []int{1, 2} {
-		prev := runtime.GOMAXPROCS(procs)
-		for _, workers := range []int{1, 4, 8} {
-			got, err := RunStreamBlocks(Config{N: 10_000, Seed: 42, Workers: workers}, T, thresholdBlocks(p), newAdv(T))
+	for _, c := range []struct {
+		name string
+		run  func(workers int) (Estimate, error)
+	}{
+		{"advBlock", func(workers int) (Estimate, error) {
+			const T = 100 // one full block and a 36-symbol tail
+			return RunStreamBlocks(Config{N: 10_000, Seed: 42, Workers: workers}, T, thresholdBlocks(p), newAdv(T))
+		}},
+		{"countingStream", func(workers int) (Estimate, error) {
+			const T = 50
+			return RunStreamBlocks(Config{N: 10_000, Seed: 42, Workers: workers}, T, thresholdBlocks(p), counting(T, false))
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ref, err := c.run(1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != ref {
-				t.Errorf("GOMAXPROCS=%d workers=%d: %v != reference %v", procs, workers, got, ref)
+			if ref.N != 10_000 || ref.Hits == 0 || ref.Hits == ref.N {
+				t.Fatalf("degenerate reference estimate %v", ref)
 			}
-		}
-		runtime.GOMAXPROCS(prev)
+			for _, procs := range []int{1, 2} {
+				prev := runtime.GOMAXPROCS(procs)
+				for _, workers := range []int{1, 4, 8} {
+					got, err := c.run(workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != ref {
+						t.Errorf("GOMAXPROCS=%d workers=%d: %v != reference %v", procs, workers, got, ref)
+					}
+				}
+				runtime.GOMAXPROCS(prev)
+			}
+		})
 	}
 }
 
@@ -165,45 +180,6 @@ func TestErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestProgressStreaming: both pools report monotonically increasing
-// completed-sample counts ending at N, one event per batch.
-func TestProgressStreaming(t *testing.T) {
-	p := charstring.MustParams(0.3, 0.2)
-	for _, weightedPool := range []bool{false, true} {
-		var mu sync.Mutex
-		var seen []int
-		cfg := Config{N: 3_000, Seed: 3, Workers: 4, BatchSize: 500, Progress: func(done, total int) {
-			mu.Lock()
-			seen = append(seen, done)
-			mu.Unlock()
-			if total != 3_000 {
-				t.Errorf("total = %d", total)
-			}
-		}}
-		var err error
-		if weightedPool {
-			_, err = RunStreamWeightedBlocks(cfg, 20, thresholdBlocks(p),
-				weighted(func() WeightedStreamVerdict { return &countWeighted{T: 20, need: 7} }))
-		} else {
-			_, err = RunStreamBlocks(cfg, 20, thresholdBlocks(p), newAdv(20))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(seen) != 6 {
-			t.Fatalf("weighted=%v: expected 6 progress events, got %v", weightedPool, seen)
-		}
-		for i := 1; i < len(seen); i++ {
-			if seen[i] <= seen[i-1] {
-				t.Fatalf("weighted=%v: progress not increasing: %v", weightedPool, seen)
-			}
-		}
-		if seen[len(seen)-1] != 3_000 {
-			t.Fatalf("weighted=%v: progress did not reach N: %v", weightedPool, seen)
-		}
-	}
-}
-
 // TestEstimateWilson: Estimate carries exactly the stats.Wilson interval.
 func TestEstimateWilson(t *testing.T) {
 	e := NewEstimate(49, 4000)
@@ -220,27 +196,61 @@ func TestEstimateWilson(t *testing.T) {
 	}
 }
 
-// TestRunEdgeCases: N ≤ 0, T ≤ 0 and nil hooks on the weighted drivers.
+// TestRunEdgeCases: N ≤ 0, T ≤ 0 and nil hooks on every driver. The
+// empty job returns the empty estimate; every invalid input is an error.
 func TestRunEdgeCases(t *testing.T) {
 	p := charstring.MustParams(0.3, 0.2)
-	newV := weighted(func() WeightedStreamVerdict { return &countWeighted{T: 10, need: 4} })
-	if e, err := RunStreamWeightedBlocks(Config{N: 0, Seed: 1}, 10, thresholdBlocks(p), newV); err != nil || e.N != 0 {
-		t.Fatalf("N=0: %v, %v", e, err)
+	newV := counting(10, false)
+	newW := weighted(func() WeightedStreamVerdict { return &countWeighted{T: 10, need: 4} })
+	newS := func() WeightedState { return &walkState{T: 3} }
+	type edgeCase struct {
+		name string
+		run  func() (n int, err error)
+		ok   bool // the empty job: no error and N = 0
 	}
-	if _, err := RunStreamWeightedBlocks(Config{N: 10}, 10, nil, newV); err == nil {
-		t.Fatal("nil sampler accepted")
+	blocks := func(cfg Config, T int, fill BlockSampler, newV func() blockOf) func() (int, error) {
+		return func() (int, error) { e, err := RunStreamBlocks(cfg, T, fill, newV); return e.N, err }
 	}
-	if _, err := RunStreamWeightedBlocks[weightedBlockOf](Config{N: 10}, 10, thresholdBlocks(p), nil); err == nil {
-		t.Fatal("nil verdict constructor accepted")
+	wblocks := func(cfg Config, T int, fill BlockSampler, newV func() weightedBlockOf) func() (int, error) {
+		return func() (int, error) { e, err := RunStreamWeightedBlocks(cfg, T, fill, newV); return e.N, err }
 	}
-	if _, err := RunStreamWeightedBlocks(Config{N: 10}, 0, thresholdBlocks(p), newV); err == nil {
-		t.Fatal("T=0 accepted")
+	states := func(cfg Config, newS func() WeightedState) func() (int, error) {
+		return func() (int, error) { e, err := RunWeightedStates(cfg, newS); return e.N, err }
 	}
-	if e, err := RunWeightedStates(Config{N: 0}, func() WeightedState { return &walkState{T: 3} }); err != nil || e.N != 0 {
-		t.Fatalf("states N=0: %v, %v", e, err)
-	}
-	if _, err := RunWeightedStates(Config{N: 10}, nil); err == nil {
-		t.Fatal("nil state constructor accepted")
+	for _, driver := range []struct {
+		name  string
+		cases []edgeCase
+	}{
+		{"RunStreamBlocks", []edgeCase{
+			{"N=0", blocks(Config{N: 0, Seed: 1}, 10, thresholdBlocks(p), newV), true},
+			{"nil_sampler", blocks(Config{N: 10}, 10, nil, newV), false},
+			{"nil_verdict", blocks(Config{N: 10}, 10, thresholdBlocks(p), nil), false},
+			{"T=0", blocks(Config{N: 10}, 0, thresholdBlocks(p), newV), false},
+		}},
+		{"RunStreamWeightedBlocks", []edgeCase{
+			{"N=0", wblocks(Config{N: 0, Seed: 1}, 10, thresholdBlocks(p), newW), true},
+			{"nil_sampler", wblocks(Config{N: 10}, 10, nil, newW), false},
+			{"nil_verdict", wblocks(Config{N: 10}, 10, thresholdBlocks(p), nil), false},
+			{"T=0", wblocks(Config{N: 10}, 0, thresholdBlocks(p), newW), false},
+		}},
+		{"RunWeightedStates", []edgeCase{
+			{"N=0", states(Config{N: 0}, newS), true},
+			{"nil_state", states(Config{N: 10}, nil), false},
+		}},
+	} {
+		t.Run(driver.name, func(t *testing.T) {
+			for _, c := range driver.cases {
+				t.Run(c.name, func(t *testing.T) {
+					n, err := c.run()
+					if c.ok && (err != nil || n != 0) {
+						t.Fatalf("empty job: N=%d, err %v", n, err)
+					}
+					if !c.ok && err == nil {
+						t.Fatal("invalid input accepted")
+					}
+				})
+			}
+		})
 	}
 }
 

@@ -1,12 +1,6 @@
 package runner
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-
-	"multihonest/internal/charstring"
-)
+import "multihonest/internal/charstring"
 
 // This file is the streaming foundation of the engine: a fused
 // sample–judge loop that never materializes a charstring.String. A
@@ -81,83 +75,4 @@ type StreamVerdict interface {
 	// Finish returns the verdict for the fed prefix. After an early exit it
 	// must return the decided value; otherwise exactly T symbols were fed.
 	Finish() (bool, error)
-}
-
-// streamPool is the shared unweighted worker pool: each worker owns one
-// judge closure from newJudge (wrapping its reusable verdict scratch) that
-// consumes a freshly reseeded sample stream and returns the verdict. The
-// pool is an explicit set of goroutines rather than ForEach so the
-// steady-state sample loop touches no shared state but the batch counter.
-func streamPool(cfg Config, newJudge func() func(rng *SM64) (bool, error)) (Estimate, error) {
-	if cfg.N <= 0 {
-		return NewEstimate(0, 0), nil
-	}
-	bs := cfg.batchSize()
-	batches := (cfg.N + bs - 1) / bs
-	workers := min(cfg.workers(), batches)
-	results := make(chan batchResult, workers)
-
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			judge := newJudge()
-			var rng SM64
-			for {
-				b := int(next.Add(1) - 1)
-				if b >= batches || failed.Load() {
-					return
-				}
-				lo := b * bs
-				hi := min(lo+bs, cfg.N)
-				hits := 0
-				for i := lo; i < hi; i++ {
-					rng.Reseed(SampleSeed(cfg.Seed, b, i-lo))
-					ok, err := judge(&rng)
-					if err != nil {
-						failed.Store(true)
-						results <- batchResult{err: fmt.Errorf("runner: batch %d sample %d: %w", b, i, err)}
-						return
-					}
-					if ok {
-						hits++
-					}
-				}
-				results <- batchResult{hits: hits, n: hi - lo}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Streaming aggregation: integer hit counts commute, so accumulation
-	// order — which depends on scheduling — cannot affect the total.
-	// Telemetry stays batch-granular and out of the fused sample loop.
-	tk := track(&cfg)
-	defer tk.finish()
-	hits, done := 0, 0
-	var firstErr error
-	for r := range results {
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			continue
-		}
-		hits += r.hits
-		done += r.n
-		tk.batch(r.n)
-		if cfg.Progress != nil {
-			cfg.Progress(done, cfg.N)
-		}
-	}
-	if firstErr != nil {
-		return Estimate{}, firstErr
-	}
-	return NewEstimate(hits, cfg.N), nil
 }

@@ -2,7 +2,6 @@ package runner
 
 import (
 	"errors"
-	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -62,34 +61,6 @@ func (v *countingStream) Feed(sym charstring.Symbol) bool {
 }
 
 func (v *countingStream) Finish() (bool, error) { return 3*v.adv > v.T, nil }
-
-// TestRunStreamDeterministicAcrossWorkers: same (N, seed, BatchSize) ⇒
-// bit-identical Estimate at every worker count and GOMAXPROCS.
-func TestRunStreamDeterministicAcrossWorkers(t *testing.T) {
-	p := charstring.MustParams(0.3, 0.2)
-	const T = 50
-	newV := counting(T, false)
-	ref, err := RunStreamBlocks(Config{N: 10_000, Seed: 42, Workers: 1}, T, thresholdBlocks(p), newV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.N != 10_000 || ref.Hits == 0 || ref.Hits == ref.N {
-		t.Fatalf("degenerate reference estimate %v", ref)
-	}
-	for _, procs := range []int{1, 2} {
-		prev := runtime.GOMAXPROCS(procs)
-		for _, workers := range []int{1, 4, 8} {
-			got, err := RunStreamBlocks(Config{N: 10_000, Seed: 42, Workers: workers}, T, thresholdBlocks(p), newV)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != ref {
-				t.Errorf("GOMAXPROCS=%d workers=%d: %v != reference %v", procs, workers, got, ref)
-			}
-		}
-		runtime.GOMAXPROCS(prev)
-	}
-}
 
 // TestRunStreamMatchesManualLoop pins the streaming sampling scheme: batch
 // b sample i draws from the splitmix64 stream seeded by SampleSeed(seed,
@@ -176,24 +147,6 @@ func TestRunStreamErrorPropagation(t *testing.T) {
 	}
 	if n := calls.Load(); n >= 100_000 {
 		t.Errorf("error did not cancel remaining work: %d verdicts ran", n)
-	}
-}
-
-// TestRunStreamEdgeCases: invalid inputs and the empty job.
-func TestRunStreamEdgeCases(t *testing.T) {
-	p := charstring.MustParams(0.3, 0.2)
-	newV := counting(10, false)
-	if e, err := RunStreamBlocks(Config{N: 0, Seed: 1}, 10, thresholdBlocks(p), newV); err != nil || e.N != 0 {
-		t.Fatalf("N=0: %v, %v", e, err)
-	}
-	if _, err := RunStreamBlocks(Config{N: 10}, 10, nil, newV); err == nil {
-		t.Fatal("nil sampler accepted")
-	}
-	if _, err := RunStreamBlocks[blockOf](Config{N: 10}, 10, thresholdBlocks(p), nil); err == nil {
-		t.Fatal("nil verdict constructor accepted")
-	}
-	if _, err := RunStreamBlocks(Config{N: 10}, 0, thresholdBlocks(p), newV); err == nil {
-		t.Fatal("T=0 accepted")
 	}
 }
 

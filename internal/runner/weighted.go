@@ -2,9 +2,6 @@ package runner
 
 import (
 	"fmt"
-	"math"
-	"sync"
-	"sync/atomic"
 
 	"multihonest/internal/charstring"
 	"multihonest/internal/stats"
@@ -20,15 +17,14 @@ import (
 //
 // # Determinism
 //
-// Integer hit counts commute, so the unweighted pool may fold batch
-// results in completion order. Weighted sums are float64 and float
-// addition does not commute bitwise, so the weighted pool pins the fold
-// order instead of the operand type: each batch's partial sums are stored
-// in a slice indexed by batch and reduced in batch order after all
-// workers finish. Together with the per-sample SampleSeed streams (sample
-// i of batch b draws the same symbols whoever runs it) the
-// WeightedEstimate is bit-identical at every worker count, and invariant
-// under verdict early exit.
+// Weighted sums are float64, and float addition does not commute
+// bitwise, so the fold order must not depend on scheduling. runBatches
+// pins it for every job: each batch's partial sums are stored in a slot
+// indexed by batch and reduced in batch order after all workers finish.
+// Together with the per-sample SampleSeed streams (sample i of batch b
+// draws the same symbols whoever runs it) the WeightedEstimate is
+// bit-identical at every worker count, and invariant under verdict early
+// exit.
 
 // WeightedStreamVerdict is the weighted counterpart of StreamVerdict. The
 // engine drives it as Begin, then Feed per symbol until either Feed
@@ -122,119 +118,6 @@ type WeightedState interface {
 	Finish() (hit bool, weight float64, err error)
 }
 
-// weightedBatch is one batch's partial sums, folded in batch order.
-type weightedBatch struct {
-	sumW, sumW2 float64
-	hits, n     int
-	done        bool
-}
-
-// runWeightedPool is the shared engine behind RunStreamWeightedBlocks and
-// RunWeightedStates: a worker pool over batches where each worker owns
-// one judge closure from newJudge (wrapping its reusable scratch) that
-// consumes a freshly reseeded sample stream and returns the weighted
-// verdict. Partial sums land in their batch's slot and the final fold
-// walks the slots in index order, so float addition happens in one fixed
-// order regardless of scheduling — the weighted determinism contract.
-func runWeightedPool(cfg Config, newJudge func() func(rng *SM64) (bool, float64, error)) (WeightedEstimate, error) {
-	if cfg.N <= 0 {
-		return NewWeightedEstimate(0, 0, 0, 0), nil
-	}
-	bs := cfg.batchSize()
-	batches := (cfg.N + bs - 1) / bs
-	workers := min(cfg.workers(), batches)
-	// Telemetry opens before the pool and folds with the partials below —
-	// the weighted pool has no streaming aggregator goroutine to hook.
-	tk := track(&cfg)
-	defer tk.finish()
-
-	partials := make([]weightedBatch, batches)
-	var next atomic.Int64
-	var failed atomic.Bool
-	errs := make(chan error, workers)
-	// Progress reporting stays incremental (and on one goroutine, per the
-	// Config.Progress contract) even though the sums fold only at the
-	// end: workers stream their batch sizes to a dedicated counter.
-	var progress chan int
-	var progressDone chan struct{}
-	if cfg.Progress != nil {
-		progress = make(chan int, workers)
-		progressDone = make(chan struct{})
-		go func() {
-			defer close(progressDone)
-			done := 0
-			for n := range progress {
-				done += n
-				cfg.Progress(done, cfg.N)
-			}
-		}()
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			judge := newJudge()
-			var rng SM64
-			for {
-				b := int(next.Add(1) - 1)
-				if b >= batches || failed.Load() {
-					return
-				}
-				lo := b * bs
-				hi := min(lo+bs, cfg.N)
-				var p weightedBatch
-				for i := lo; i < hi; i++ {
-					rng.Reseed(SampleSeed(cfg.Seed, b, i-lo))
-					hit, weight, err := judge(&rng)
-					if err == nil && (weight < 0 || math.IsNaN(weight) || math.IsInf(weight, 0)) {
-						err = fmt.Errorf("invalid importance weight %v", weight)
-					}
-					if err != nil {
-						failed.Store(true)
-						errs <- fmt.Errorf("runner: batch %d sample %d: %w", b, i, err)
-						return
-					}
-					if hit {
-						p.hits++
-						p.sumW += weight
-						p.sumW2 += weight * weight
-					}
-				}
-				p.n = hi - lo
-				p.done = true
-				partials[b] = p
-				if progress != nil {
-					progress <- p.n
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if progress != nil {
-		close(progress)
-		<-progressDone
-	}
-	close(errs)
-	if err := <-errs; err != nil {
-		return WeightedEstimate{}, err
-	}
-
-	var sumW, sumW2 float64
-	hits := 0
-	for b := range partials {
-		p := &partials[b]
-		if !p.done {
-			return WeightedEstimate{}, fmt.Errorf("runner: batch %d never completed", b)
-		}
-		sumW += p.sumW
-		sumW2 += p.sumW2
-		hits += p.hits
-		tk.batch(p.n)
-	}
-	return NewWeightedEstimate(cfg.N, hits, sumW, sumW2), nil
-}
-
 // RunWeightedStates executes a weighted Monte-Carlo job over self-sampling
 // states: cfg.N samples, each a fresh Begin on the per-worker state from
 // newState followed by Step until done, drawing all randomness from the
@@ -244,7 +127,7 @@ func RunWeightedStates(cfg Config, newState func() WeightedState) (WeightedEstim
 	if newState == nil {
 		return WeightedEstimate{}, fmt.Errorf("runner: nil state constructor")
 	}
-	return runWeightedPool(cfg, func() func(rng *SM64) (bool, float64, error) {
+	s, err := runBatches(cfg, func() judge {
 		st := newState()
 		return func(rng *SM64) (bool, float64, error) {
 			st.Begin(rng)
@@ -253,4 +136,14 @@ func RunWeightedStates(cfg Config, newState func() WeightedState) (WeightedEstim
 			return st.Finish()
 		}
 	})
+	return weightedEstimate(cfg, s, err)
+}
+
+// weightedEstimate assembles a weighted driver's result from its folded
+// batch sums.
+func weightedEstimate(cfg Config, s batchSums, err error) (WeightedEstimate, error) {
+	if err != nil {
+		return WeightedEstimate{}, err
+	}
+	return NewWeightedEstimate(max(cfg.N, 0), s.hits, s.sumW, s.sumW2), nil
 }
