@@ -451,7 +451,7 @@ func foldScrapes(before, after *telemetry.Scrape) *scrapeReport {
 
 // fetchSlowestTrace reads every target's flight recorder and returns
 // the slowest retained request trace (operational traces — snapshot
-// saves, runner jobs — are skipped: the question -traces answers is
+// loads and saves — are skipped: the question -traces answers is
 // "what did the worst *request* spend its time on").
 func fetchSlowestTrace(client *http.Client, bases []string) *telemetry.TraceSnapshot {
 	var slowest *telemetry.TraceSnapshot

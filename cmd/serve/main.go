@@ -6,12 +6,13 @@
 //
 // Usage:
 //
-//	serve [-addr :8080] [-cache 1024] [-workers 0]
+//	serve [-addr :8080] [-cache 1024]
 //	      [-snapshot oracle.mhsnap] [-checkpoint 30s]
 //	      [-peers http://a:8080,http://b:8080] [-self http://a:8080]
-//	      [-drain 10s] [-pprof] [-reqlog=false] [-log-level info]
-//	      [-trace-buf 256] [-trace-threshold 100ms] [-trace-sample 0.05]
-//	      [-diagdir diagnostics/]
+//	      [-drain 10s] [-pprof] [-log-level info]
+//	      [-trace-sample 0.05] [-diagdir diagnostics/]
+//
+// Batches run on GOMAXPROCS workers.
 //
 // With -snapshot, the cache is persisted: a background checkpointer
 // writes a checksummed snapshot atomically every -checkpoint interval
@@ -32,10 +33,11 @@
 // one query shows up under one ID on every replica it touches, and each
 // request builds a span tree — queue, coalesce_wait, build, extend,
 // forward (with per-attempt and hedge children), serialize — plus one
-// structured log line with the phase breakdown. Finished traces feed a
-// flight recorder (-trace-buf) with tail sampling: errors, hedged and
-// breaker-affected requests, and anything over -trace-threshold are
-// kept unconditionally, the boring rest with probability -trace-sample.
+// structured log line with the phase breakdown (health probes and
+// scrapes excepted). Finished traces feed a 256-trace flight recorder
+// with tail sampling: errors, hedged and breaker-affected requests, and
+// anything slower than 100ms are kept unconditionally, the boring rest
+// with probability -trace-sample.
 // Browse it at /debug/traces (list) and /debug/traces?id=<traceID>
 // (full span tree). Latency histogram buckets on /metrics carry
 // exemplar trace IDs linking straight back to recorded traces.
@@ -112,17 +114,13 @@ func main() {
 func run(logger *slog.Logger) error {
 	addr := flag.String("addr", ":8080", "listen address")
 	cache := flag.Int("cache", oracle.DefaultMaxEntries, "curve cache capacity (parameter points)")
-	workers := flag.Int("workers", 0, "batch executor pool size (0 = all CPUs)")
 	snapshot := flag.String("snapshot", "", "snapshot file for warm restarts (empty = no persistence)")
 	checkpoint := flag.Duration("checkpoint", 30*time.Second, "background snapshot interval")
 	peers := flag.String("peers", "", "comma-separated replica base URLs, self included (empty = standalone)")
 	self := flag.String("self", "", "this replica's base URL as written in -peers")
 	drain := flag.Duration("drain", 10*time.Second, "shutdown drain timeout for in-flight requests")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	reqlog := flag.Bool("reqlog", true, "log one structured line per request (probes excluded)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug|info|warn|error (debug logs every span)")
-	traceBuf := flag.Int("trace-buf", 256, "flight recorder capacity in traces")
-	traceThreshold := flag.Duration("trace-threshold", 100*time.Millisecond, "record every request at least this slow (negative = flags only)")
 	traceSample := flag.Float64("trace-sample", 0.05, "keep probability for unremarkable traces (negative = keep none)")
 	diagdir := flag.String("diagdir", "", "write anomaly diagnostics bundles into this directory (empty = off)")
 	flag.Parse()
@@ -148,17 +146,13 @@ func run(logger *slog.Logger) error {
 	}
 	reg := telemetry.New()
 	telemetry.RegisterRuntime(reg)
-	rec := telemetry.NewRecorder(telemetry.RecorderConfig{
-		Capacity:         *traceBuf,
-		LatencyThreshold: *traceThreshold,
-		SampleRate:       *traceSample,
-	})
+	rec := telemetry.NewRecorder(telemetry.RecorderConfig{SampleRate: *traceSample})
 	readyG := reg.Gauge("serve_ready", "1 while the replica advertises ready, 0 while booting or draining.")
 	bootG := reg.Gauge("serve_boot_to_ready_seconds", "Seconds from process start to first ready, warm boot included.")
 
 	o := oracle.New(*cache)
 	o.Instrument(reg)
-	srv := oracle.NewServer(o, *workers)
+	srv := oracle.NewServer(o, 0)
 	srv.SetReady(false) // not ready until the warm boot (if any) finishes
 
 	// logf adapts printf-style internals (checkpointer, cluster breakers)
@@ -233,13 +227,9 @@ func run(logger *slog.Logger) error {
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
 	root.Handle("/", handler)
-	reqLogger := logger
-	if !*reqlog {
-		reqLogger = nil
-	}
 	h := telemetry.MiddlewareWith(root, telemetry.MiddlewareConfig{
 		Metrics:    telemetry.NewHTTPMetrics(reg, "serve"),
-		Logger:     reqLogger,
+		Logger:     logger,
 		Recorder:   rec,
 		DebugSpans: lvl <= slog.LevelDebug,
 	})
@@ -249,7 +239,7 @@ func run(logger *slog.Logger) error {
 		if err := os.MkdirAll(*diagdir, 0o755); err != nil {
 			return fmt.Errorf("creating -diagdir: %w", err)
 		}
-		wd = telemetry.NewWatchdog(reg, rec, telemetry.WatchdogConfig{Dir: *diagdir, Logf: logf})
+		wd = telemetry.NewWatchdog(reg, rec, *diagdir, logf)
 		go wd.Run()
 		logger.Info("watchdog armed", "diagdir", *diagdir)
 	}

@@ -13,7 +13,6 @@ import (
 	"net/http/httptest"
 	"slices"
 	"testing"
-	"time"
 
 	"multihonest/internal/lattice"
 	"multihonest/internal/oracle"
@@ -266,13 +265,10 @@ func checkFailoverAnswerIdentity(t *testing.T, r *rand.Rand) {
 		cl.ServeHTTP(w, req)
 	}))
 	defer hs.Close()
-	cl = oracle.NewCluster(srv, oracle.ClusterConfig{
-		Self:       hs.URL,
-		Peers:      []string{hs.URL, dead},
-		RetryBase:  time.Millisecond,
-		RetryCap:   2 * time.Millisecond,
-		HedgeAfter: -1, // deterministic: always the fallback path, never a race
-	})
+	// The shipped forwarding policy: a refused connection fails each of
+	// the attempts long before the hedge timer, and once the breaker
+	// opens every dead-owned query falls back at once.
+	cl = oracle.NewCluster(srv, oracle.ClusterConfig{Self: hs.URL, Peers: []string{hs.URL, dead}})
 
 	fallbacksSeen := false
 	for trial := 0; trial < 12; trial++ {

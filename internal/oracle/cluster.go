@@ -25,14 +25,14 @@ import (
 //
 // A query that hashes to another replica is forwarded with
 // deadline-propagating retries (capped exponential backoff, full
-// jitter) and a hedge: if the owner has not answered within HedgeAfter,
-// the local oracle starts computing the same answer and whichever
-// finishes first is served. Every replica can answer every query —
-// forwarding is a cache-locality optimization, never a correctness
-// dependency — so peer failure degrades to local compute, not errors.
-// A per-peer circuit breaker stops forwarding to a dead replica after
-// BreakerThreshold consecutive failures and probes it again after
-// BreakerCooldown.
+// jitter) and a hedge: if the owner has not answered within
+// clusterHedgeAfter, the local oracle starts computing the same answer
+// and whichever finishes first is served. Every replica can answer every
+// query — forwarding is a cache-locality optimization, never a
+// correctness dependency — so peer failure degrades to local compute,
+// not errors. A per-peer circuit breaker stops forwarding to a dead
+// replica after clusterBreakerThreshold consecutive failures and probes
+// it again after clusterBreakerCooldown.
 //
 // Forwarded requests carry the clusterForwardHeader; a replica that
 // receives one always answers locally, so a stale or disagreeing peer
@@ -45,7 +45,10 @@ type Cluster struct {
 	self  string
 	peers []string // includes self; sorted order irrelevant to HRW
 
-	client      *http.Client
+	client *http.Client
+	// The forwarding policy: NewCluster sets the cluster* constants;
+	// tests tighten them on the value they built (hedgeAfter ≤ 0 never
+	// hedges).
 	hedgeAfter  time.Duration
 	fwdTimeout  time.Duration
 	retryBase   time.Duration
@@ -73,8 +76,8 @@ type peerCounters struct {
 	hedges   atomic.Int64 // local computes raced against it
 }
 
-// ClusterConfig configures a Cluster; zero fields take the defaults
-// documented on each.
+// ClusterConfig configures a Cluster; the forwarding policy is the
+// cluster* constants below.
 type ClusterConfig struct {
 	// Self is this replica's base URL as it appears in Peers (e.g.
 	// "http://127.0.0.1:8080"). Empty or absent from Peers means every
@@ -86,31 +89,32 @@ type ClusterConfig struct {
 	// Transport carries forwarded requests (default
 	// http.DefaultTransport). Chaos tests inject a faultfs.Transport.
 	Transport http.RoundTripper
-	// ForwardTimeout bounds one query's whole forwarding effort,
-	// retries included (default 2s). The request's own deadline, when
-	// sooner, wins.
-	ForwardTimeout time.Duration
-	// HedgeAfter is how long to wait on the owner before racing a
-	// local compute (default 100ms; negative disables hedging).
-	HedgeAfter time.Duration
-	// RetryBase/RetryCap shape the backoff: attempt i sleeps a uniform
-	// random duration in [0, min(RetryCap, RetryBase·2^i)] (defaults
-	// 25ms and 250ms).
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// MaxAttempts bounds forward attempts per query (default 3).
-	MaxAttempts int
-	// BreakerThreshold consecutive failures open a peer's breaker
-	// (default 5); BreakerCooldown later one probe is let through
-	// (default 5s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// Seed feeds the jitter stream so chaos runs replay (default 1).
-	Seed int64
 	// Logf receives breaker transitions and forward failures (default
 	// discard).
 	Logf func(format string, args ...any)
 }
+
+// The forwarding policy every replica runs.
+const (
+	// clusterForwardTimeout bounds one query's whole forwarding effort,
+	// retries included. The request's own deadline, when sooner, wins.
+	clusterForwardTimeout = 2 * time.Second
+	// clusterHedgeAfter is how long to wait on the owner before racing
+	// a local compute.
+	clusterHedgeAfter = 100 * time.Millisecond
+	// Attempt i ≥ 1 sleeps a uniform random duration in
+	// [0, min(clusterRetryCap, clusterRetryBase·2^(i-1))].
+	clusterRetryBase = 25 * time.Millisecond
+	clusterRetryCap  = 250 * time.Millisecond
+	// clusterMaxAttempts bounds forward attempts per query.
+	clusterMaxAttempts = 3
+	// clusterBreakerThreshold consecutive failures open a peer's
+	// breaker; clusterBreakerCooldown later one probe is let through.
+	clusterBreakerThreshold = 5
+	clusterBreakerCooldown  = 5 * time.Second
+	// clusterSeed feeds the jitter stream so chaos runs replay.
+	clusterSeed = 1
+)
 
 // clusterForwardHeader marks a request as already forwarded once; the
 // receiver must answer locally.
@@ -122,30 +126,6 @@ const maxForwardBody = 64 << 20
 
 // NewCluster wraps srv's handler in the replication tier.
 func NewCluster(srv *Server, cfg ClusterConfig) *Cluster {
-	if cfg.ForwardTimeout <= 0 {
-		cfg.ForwardTimeout = 2 * time.Second
-	}
-	if cfg.HedgeAfter == 0 {
-		cfg.HedgeAfter = 100 * time.Millisecond
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 25 * time.Millisecond
-	}
-	if cfg.RetryCap <= 0 {
-		cfg.RetryCap = 250 * time.Millisecond
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 5
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 5 * time.Second
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -155,13 +135,13 @@ func NewCluster(srv *Server, cfg ClusterConfig) *Cluster {
 		self:        cfg.Self,
 		peers:       append([]string(nil), cfg.Peers...),
 		client:      &http.Client{Transport: cfg.Transport},
-		hedgeAfter:  cfg.HedgeAfter,
-		fwdTimeout:  cfg.ForwardTimeout,
-		retryBase:   cfg.RetryBase,
-		retryCap:    cfg.RetryCap,
-		maxAttempts: cfg.MaxAttempts,
+		hedgeAfter:  clusterHedgeAfter,
+		fwdTimeout:  clusterForwardTimeout,
+		retryBase:   clusterRetryBase,
+		retryCap:    clusterRetryCap,
+		maxAttempts: clusterMaxAttempts,
 		logf:        cfg.Logf,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		rng:         rand.New(rand.NewSource(clusterSeed)),
 		breakers:    make(map[string]*breaker),
 		perPeer:     make(map[string]*peerCounters),
 	}
@@ -169,8 +149,8 @@ func NewCluster(srv *Server, cfg ClusterConfig) *Cluster {
 		if p != c.self {
 			c.perPeer[p] = &peerCounters{}
 			c.breakers[p] = &breaker{
-				threshold: cfg.BreakerThreshold,
-				cooldown:  cfg.BreakerCooldown,
+				threshold: clusterBreakerThreshold,
+				cooldown:  clusterBreakerCooldown,
 				logf:      cfg.Logf,
 				peer:      p,
 			}

@@ -1,11 +1,13 @@
 package oracle
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,9 +23,9 @@ type replicaSet struct {
 	urls     []string
 }
 
-// newReplicaSet builds the set; configure is applied to each replica's
-// config (self/peers/logf are filled in afterwards).
-func newReplicaSet(t *testing.T, n int, configure func(i int, cfg *ClusterConfig)) *replicaSet {
+// newReplicaSet builds the set. Each replica retries after 1–4ms and
+// never hedges; configure then tunes each replica's policy in place.
+func newReplicaSet(t *testing.T, n int, configure func(i int, c *Cluster)) *replicaSet {
 	t.Helper()
 	rs := &replicaSet{}
 
@@ -58,18 +60,12 @@ func newReplicaSet(t *testing.T, n int, configure func(i int, cfg *ClusterConfig
 
 	for i := 0; i < n; i++ {
 		o := New(0)
-		cfg := ClusterConfig{
-			RetryBase:  time.Millisecond,
-			RetryCap:   4 * time.Millisecond,
-			HedgeAfter: -1, // tests opt in explicitly
-			Logf:       t.Logf,
-		}
+		c := NewCluster(NewServer(o, 1), ClusterConfig{Self: rs.urls[i], Peers: rs.urls, Logf: t.Logf})
+		c.retryBase, c.retryCap = time.Millisecond, 4*time.Millisecond
+		c.hedgeAfter = 0 // tests opt in explicitly
 		if configure != nil {
-			configure(i, &cfg)
+			configure(i, c)
 		}
-		cfg.Self = rs.urls[i]
-		cfg.Peers = rs.urls
-		c := NewCluster(NewServer(o, 1), cfg)
 		rs.oracles = append(rs.oracles, o)
 		rs.clusters = append(rs.clusters, c)
 		slots[i].mu.Lock()
@@ -272,10 +268,12 @@ func TestSelfOwnedClusterAllocs(t *testing.T) {
 // TestClusterFailover: with the owner dead, any replica still answers —
 // locally, byte-identically — inside the forwarding deadline.
 func TestClusterFailover(t *testing.T) {
-	rs := newReplicaSet(t, 2, func(i int, cfg *ClusterConfig) {
-		cfg.ForwardTimeout = time.Second
-		cfg.MaxAttempts = 2
-		cfg.BreakerThreshold = 2
+	rs := newReplicaSet(t, 2, func(i int, c *Cluster) {
+		c.fwdTimeout = time.Second
+		c.maxAttempts = 2
+		for _, b := range c.breakers {
+			b.threshold = 2
+		}
 	})
 
 	// Find a query one replica owns so asking the other must forward.
@@ -328,6 +326,76 @@ func TestClusterFailover(t *testing.T) {
 	}
 }
 
+// TestClusterShippedPolicy runs a cluster on the forwarding policy
+// NewCluster ships, with no overrides, against a peer whose transport
+// fails every request: the breaker opens after exactly
+// clusterBreakerThreshold transport attempts, nothing reaches the peer
+// again until the cooldown has passed on the breaker's clock, and every
+// query still answers with the bytes of a cold local replay.
+func TestClusterShippedPolicy(t *testing.T) {
+	const peer = "http://peer:2"
+	var calls atomic.Int64
+	c := NewCluster(NewServer(New(0), 1), ClusterConfig{
+		Self:  "http://self:1",
+		Peers: []string{"http://self:1", peer},
+		Transport: roundTripFunc(func(*http.Request) (*http.Response, error) {
+			calls.Add(1)
+			return nil, errors.New("peer down")
+		}),
+	})
+	var clock atomic.Int64 // nanoseconds on the breaker's clock
+	brk := c.breakers[peer]
+	brk.now = func() time.Time { return time.Unix(0, clock.Load()) }
+	cold := NewServer(New(0), 1).Handler()
+
+	// query sends the next peer-owned point and checks the answer.
+	bp := 1000
+	query := func() {
+		t.Helper()
+		for ; bp < 5000; bp++ {
+			url := fmt.Sprintf("/v1/cell?alpha=%g&frac=0.5&k=20", float64(bp)/1e4)
+			if _, key, ok := routedQuery(httptest.NewRequest(http.MethodGet, url, nil)); !ok || c.owner(key) != peer {
+				continue
+			}
+			bp++
+			got, want := httptest.NewRecorder(), httptest.NewRecorder()
+			c.ServeHTTP(got, httptest.NewRequest(http.MethodGet, url, nil))
+			cold.ServeHTTP(want, httptest.NewRequest(http.MethodGet, url, nil))
+			if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
+				t.Fatalf("%s: status %d, body %q; cold replay %q", url, got.Code, got.Body, want.Body)
+			}
+			return
+		}
+		t.Fatal("no more queries owned by the peer")
+	}
+
+	for brk.stateName() != "open" {
+		if calls.Load() > clusterBreakerThreshold {
+			t.Fatalf("%d transport attempts and the breaker is still %s", calls.Load(), brk.stateName())
+		}
+		query()
+	}
+	if n := calls.Load(); n != clusterBreakerThreshold {
+		t.Fatalf("breaker opened after %d transport attempts, want %d", n, clusterBreakerThreshold)
+	}
+	for i := 0; i < 3; i++ {
+		query()
+	}
+	clock.Store(int64(clusterBreakerCooldown - time.Nanosecond))
+	query()
+	if n := calls.Load(); n != clusterBreakerThreshold {
+		t.Fatalf("%d transport attempts before the cooldown passed, want %d", n, clusterBreakerThreshold)
+	}
+	clock.Store(int64(clusterBreakerCooldown))
+	query()
+	if n := calls.Load(); n != clusterBreakerThreshold+1 {
+		t.Fatalf("%d transport attempts after the cooldown, want one probe past %d", n, clusterBreakerThreshold)
+	}
+	if st := brk.stateName(); st != "open" {
+		t.Fatalf("breaker after a failed probe is %s, want open", st)
+	}
+}
+
 // queryOwnedBy returns a curve query whose chain key the given replica
 // owns, from the asker's view. HRW ownership hashes the replicas'
 // random httptest ports, so any FIXED candidate list can land entirely
@@ -352,12 +420,11 @@ func queryOwnedBy(t *testing.T, rs *replicaSet, asker, owner, k int) string {
 // query still lands on the owner.
 func TestClusterRetry(t *testing.T) {
 	var tr *faultfs.Transport
-	rs := newReplicaSet(t, 2, func(i int, cfg *ClusterConfig) {
+	rs := newReplicaSet(t, 2, func(i int, c *Cluster) {
 		if i == 0 {
 			tr = faultfs.NewTransport(nil, 42)
-			cfg.Transport = tr
+			c.client.Transport = tr
 		}
-		cfg.MaxAttempts = 3
 	})
 
 	q := queryOwnedBy(t, rs, 0, 1, 40)
@@ -381,12 +448,12 @@ func TestClusterRetry(t *testing.T) {
 // the caller gets the (identical) answer fast.
 func TestClusterHedge(t *testing.T) {
 	stall := make(chan struct{})
-	rs := newReplicaSet(t, 2, func(i int, cfg *ClusterConfig) {
+	rs := newReplicaSet(t, 2, func(i int, c *Cluster) {
 		if i == 0 {
-			cfg.HedgeAfter = 5 * time.Millisecond
-			cfg.ForwardTimeout = 30 * time.Second
+			c.hedgeAfter = 5 * time.Millisecond
+			c.fwdTimeout = 30 * time.Second
 			// The "slow peer": every forwarded byte waits on stall.
-			cfg.Transport = stallTransport{stall: stall}
+			c.client.Transport = stallTransport{stall: stall}
 		}
 	})
 	defer close(stall)

@@ -318,7 +318,7 @@ func bootFromDamagedSnapshot(t *testing.T, o *Oracle) {
 // until the hedged local compute wins and cancels it.
 func failingCluster(t *testing.T, o *Oracle) *Cluster {
 	t.Helper()
-	return NewCluster(NewServer(o, 1), ClusterConfig{
+	c := NewCluster(NewServer(o, 1), ClusterConfig{
 		Self:  "http://self:1",
 		Peers: []string{"http://self:1", "http://peer:2"},
 		Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
@@ -327,12 +327,12 @@ func failingCluster(t *testing.T, o *Oracle) *Cluster {
 			}
 			return nil, errors.New("peer down")
 		}),
-		HedgeAfter:       50 * time.Millisecond,
-		RetryBase:        time.Millisecond,
-		RetryCap:         time.Millisecond,
-		MaxAttempts:      2,
-		BreakerThreshold: 1 << 20,
 	})
+	c.hedgeAfter = 50 * time.Millisecond
+	c.retryBase, c.retryCap = time.Millisecond, time.Millisecond
+	c.maxAttempts = 2
+	c.breakers["http://peer:2"].threshold = 1 << 20
+	return c
 }
 
 type roundTripFunc func(*http.Request) (*http.Response, error)

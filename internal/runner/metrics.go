@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -21,11 +20,6 @@ type runnerMetrics struct {
 // touch no telemetry at all, and batch completions cost one counter add.
 var met atomic.Pointer[runnerMetrics]
 
-// recorder optionally routes one operational trace per job — a
-// runner_job root span with per-batch child spans — into a flight
-// recorder. Installed by ObserveJobs; nil leaves jobs untraced.
-var recorder atomic.Pointer[telemetry.Recorder]
-
 // Instrument registers the runner's metric families on reg. Safe to call
 // before or between jobs; jobs already running keep their old handles.
 func Instrument(reg *telemetry.Registry) {
@@ -37,35 +31,15 @@ func Instrument(reg *telemetry.Registry) {
 	})
 }
 
-// ObserveJobs routes one force-flagged trace per finished job into rec,
-// so long Monte-Carlo jobs appear in /debug/traces with their batch
-// cadence. Pass nil to stop. Requires Instrument (trackers only exist
-// on instrumented runs).
-func ObserveJobs(rec *telemetry.Recorder) {
-	if rec == nil {
-		recorder.Store(nil)
-		return
-	}
-	recorder.Store(rec)
-}
-
 // jobTracker accumulates one job's telemetry; the nil tracker (package
 // uninstrumented) is inert, so pool code calls it unconditionally.
-// Workers record their batches concurrently; mu serializes them.
+// Workers record their batches concurrently, through atomics.
 type jobTracker struct {
-	mu      sync.Mutex
 	samples *telemetry.Counter
 	rate    *telemetry.Gauge
 	active  *telemetry.Gauge
 	start   time.Time
-	n       int64
-
-	// trace is the job's operational trace when ObserveJobs installed a
-	// recorder; batch() turns inter-mark intervals into batch spans with
-	// zero allocation (the span arena lives inside the trace).
-	trace    *telemetry.Trace
-	root     telemetry.SpanRef
-	lastMark time.Time
+	n       atomic.Int64
 }
 
 // track opens a job tracker for a config, resolving the per-job series
@@ -86,51 +60,27 @@ func track(cfg *Config) *jobTracker {
 		active:  m.active,
 		start:   time.Now(),
 	}
-	if recorder.Load() != nil {
-		t.trace = telemetry.NewTrace("")
-		t.root = t.trace.StartSpan("runner_job", telemetry.SpanRef{})
-		t.root.SetAttr("job", name)
-		t.lastMark = t.start
-	}
 	return t
 }
 
-// batch records one completed batch of n samples. With a recorder
-// installed, the interval since the previous batch becomes a batch span
-// under the job's root — still allocation-free, which
-// TestTrackerZeroAllocs pins.
+// batch records one completed batch of n samples, allocation-free
+// (TestTrackerZeroAllocs).
 func (t *jobTracker) batch(n int) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.samples.Add(int64(n))
-	t.n += int64(n)
-	if t.trace != nil {
-		now := time.Now()
-		sp := t.trace.AddSpan("batch", t.root, t.lastMark, now.Sub(t.lastMark))
-		sp.SetValue(int64(n))
-		t.lastMark = now
-	}
+	t.n.Add(int64(n))
 }
 
-// finish closes the job: decrements the active gauge, publishes the
-// job's overall samples/sec, and offers the job trace (sample count on
-// the root span) to the recorder.
+// finish closes the job: decrements the active gauge and publishes the
+// job's overall samples/sec.
 func (t *jobTracker) finish() {
 	if t == nil {
 		return
 	}
 	t.active.Add(-1)
 	if el := time.Since(t.start).Seconds(); el > 0 {
-		t.rate.Set(float64(t.n) / el)
-	}
-	if t.trace != nil {
-		t.root.SetValue(t.n)
-		t.root.End()
-		t.trace.SetFlag(telemetry.FlagForce)
-		t.trace.Finish()
-		recorder.Load().Record(t.trace)
+		t.rate.Set(float64(t.n.Load()) / el)
 	}
 }

@@ -12,9 +12,8 @@ import (
 
 // TestInstrumentRecordsJobs runs instrumented unweighted and weighted jobs
 // and checks the per-job series: sample counts exact, throughput gauge
-// set, active gauge back to zero, the traced job's root span exact, and
-// the Estimate untouched by the instrumentation (Name is display
-// metadata, never sampling scheme).
+// set, active gauge back to zero, and the Estimate untouched by the
+// instrumentation (Name is display metadata, never sampling scheme).
 func TestInstrumentRecordsJobs(t *testing.T) {
 	reg := telemetry.New()
 	Instrument(reg)
@@ -35,17 +34,11 @@ func TestInstrumentRecordsJobs(t *testing.T) {
 		t.Fatalf("instrumented estimate %+v differs from bare %+v", inst, bare)
 	}
 
-	// job_b runs traced on four workers, whose batch records race for
-	// the tracker: the trace must still hold exactly the job's samples.
-	rec := telemetry.NewRecorder(telemetry.RecorderConfig{Capacity: 8, SampleRate: -1})
-	ObserveJobs(rec)
-	defer ObserveJobs(nil)
+	// job_b runs on four workers, whose batch records race for the
+	// tracker: its counter must still hold exactly the job's samples.
 	if _, err := RunStreamWeightedBlocks(Config{N: 500, Seed: 1, Workers: 4, BatchSize: 16, Name: "job_b"}, 4, thresholdBlocks(p),
 		weighted(func() WeightedStreamVerdict { return &countWeighted{T: 4, need: 1} })); err != nil {
 		t.Fatal(err)
-	}
-	if snaps := rec.Snapshot(); len(snaps) != 1 || snaps[0].Spans[0].Value != 500 {
-		t.Errorf("job_b traces = %+v, want one runner_job trace of 500 samples", snaps)
 	}
 
 	var b strings.Builder
@@ -140,54 +133,6 @@ func TestTrackerZeroAllocs(t *testing.T) {
 	var nilTk *jobTracker
 	if allocs := testing.AllocsPerRun(200, func() { nilTk.batch(256); nilTk.finish() }); allocs != 0 {
 		t.Fatalf("nil tracker: %v allocs/op, want 0", allocs)
-	}
-}
-
-// TestTrackerRecordsJobTrace pins the job-trace contract: with a
-// recorder observing jobs, a finished job lands in the flight recorder
-// as a force-flagged trace whose runner_job root span carries the job
-// name and total samples, with one batch span per recorded batch — and
-// per-batch recording stays allocation-free.
-func TestTrackerRecordsJobTrace(t *testing.T) {
-	reg := telemetry.New()
-	Instrument(reg)
-	defer met.Store(nil)
-	rec := telemetry.NewRecorder(telemetry.RecorderConfig{Capacity: 8, SampleRate: -1})
-	ObserveJobs(rec)
-	defer ObserveJobs(nil)
-
-	cfg := Config{Name: "traced_job"}
-	tk := track(&cfg)
-	if allocs := testing.AllocsPerRun(200, func() { tk.batch(128) }); allocs != 0 {
-		t.Fatalf("recorded tracker batch: %v allocs/op, want 0", allocs)
-	}
-	tk.finish()
-
-	snaps := rec.Snapshot()
-	if len(snaps) != 1 {
-		t.Fatalf("recorder holds %d traces, want 1", len(snaps))
-	}
-	ts := snaps[0]
-	if len(ts.Spans) == 0 || ts.Spans[0].Name != "runner_job" {
-		t.Fatalf("spans = %+v, want runner_job root", ts.Spans)
-	}
-	if ts.Spans[0].Attrs["job"] != "traced_job" {
-		t.Errorf("root attrs = %v", ts.Spans[0].Attrs)
-	}
-	// 201 batches offered (AllocsPerRun runs once extra to warm up), the
-	// arena keeps what fits; the root's value has the exact total.
-	wantTotal := int64(0)
-	for _, sp := range ts.Spans[1:] {
-		if sp.Name != "batch" {
-			t.Errorf("unexpected span %q", sp.Name)
-		}
-		wantTotal += sp.Value
-	}
-	if ts.Spans[0].Value != tk.n {
-		t.Errorf("root value = %d, want %d", ts.Spans[0].Value, tk.n)
-	}
-	if ts.DroppedSpans == 0 {
-		t.Error("expected arena overflow drops from 200+ batches")
 	}
 }
 

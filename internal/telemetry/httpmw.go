@@ -10,7 +10,7 @@ import (
 
 // HTTPMetrics is the edge instrumentation of an HTTP service: request
 // counts and duration histograms by (endpoint, status), plus an in-flight
-// gauge. Construct with NewHTTPMetrics and wrap handlers with Middleware.
+// gauge. Construct with NewHTTPMetrics and wrap handlers with MiddlewareWith.
 type HTTPMetrics struct {
 	requests *CounterVec
 	duration *HistogramVec
@@ -95,12 +95,6 @@ type MiddlewareConfig struct {
 	// span when Logger is set and its level admits debug — the
 	// -log-level debug view of a request.
 	DebugSpans bool
-}
-
-// Middleware wraps next with the default telemetry edge (metrics +
-// request log, no recorder). See MiddlewareWith.
-func Middleware(next http.Handler, m *HTTPMetrics, logger *slog.Logger) http.Handler {
-	return MiddlewareWith(next, MiddlewareConfig{Metrics: m, Logger: logger})
 }
 
 // MiddlewareWith wraps next with the telemetry edge: it adopts a valid

@@ -16,11 +16,11 @@ func TestMiddlewareMintsAndEchoesTraceID(t *testing.T) {
 	r := New()
 	m := NewHTTPMetrics(r, "serve")
 	var seen *Trace
-	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	h := MiddlewareWith(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		seen = TraceFrom(req.Context())
 		seen.AddSpan("build", seen.Root(), seen.Start(), 2*time.Millisecond)
 		w.WriteHeader(http.StatusOK)
-	}), m, nil)
+	}), MiddlewareConfig{Metrics: m})
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/cell?x=1", nil))
@@ -40,9 +40,9 @@ func TestMiddlewareMintsAndEchoesTraceID(t *testing.T) {
 
 func TestMiddlewareAdoptsIncomingTraceID(t *testing.T) {
 	var got string
-	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	h := MiddlewareWith(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		got = TraceFrom(req.Context()).ID
-	}), nil, nil)
+	}), MiddlewareConfig{})
 	req := httptest.NewRequest("GET", "/v1/depth", nil)
 	req.Header.Set(TraceHeader, "f0f1f2f3f4f5f6f7")
 	h.ServeHTTP(httptest.NewRecorder(), req)
@@ -66,9 +66,9 @@ func TestMiddlewareRejectsMalformedTraceID(t *testing.T) {
 		strings.Repeat("a", 1024), // oversized
 	} {
 		var got string
-		h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		h := MiddlewareWith(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 			got = TraceFrom(req.Context()).ID
-		}), nil, nil)
+		}), MiddlewareConfig{})
 		req := httptest.NewRequest("GET", "/v1/depth", nil)
 		req.Header.Set(TraceHeader, bad)
 		rec := httptest.NewRecorder()
@@ -91,7 +91,7 @@ func TestMiddlewareRejectsMalformedTraceID(t *testing.T) {
 func TestMiddlewareLogsTraceAndPhases(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
-	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	h := MiddlewareWith(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		tr := TraceFrom(req.Context())
 		root := tr.Root()
 		tr.AddSpan("queue", root, tr.Start(), 41*time.Microsecond)
@@ -101,7 +101,7 @@ func TestMiddlewareLogsTraceAndPhases(t *testing.T) {
 		tr.AddSpan("extend", root, tr.Start(), 1500*time.Microsecond)
 		tr.StartSpan("serialize", root) // never ended: not a phase
 		w.WriteHeader(http.StatusBadRequest)
-	}), nil, logger)
+	}), MiddlewareConfig{Logger: logger})
 	req := httptest.NewRequest("GET", "/v1/curve", nil)
 	req.Header.Set(TraceHeader, "aaaabbbbccccdddd")
 	h.ServeHTTP(httptest.NewRecorder(), req)
@@ -134,12 +134,12 @@ func (w nopWriter) WriteHeader(int)             {}
 // did.
 func TestRequestLogAllocs(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	h := MiddlewareWith(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		tr := TraceFrom(req.Context())
 		tr.AddSpan("queue", tr.Root(), tr.Start(), 41*time.Microsecond)
 		tr.AddSpan("build", tr.Root(), tr.Start(), 12300*time.Microsecond)
 		tr.AddSpan("serialize", tr.Root(), tr.Start(), 88*time.Microsecond)
-	}), nil, logger)
+	}), MiddlewareConfig{Logger: logger})
 	req := httptest.NewRequest("GET", "/v1/cell", nil)
 	w := nopWriter{h: http.Header{}}
 	allocs := testing.AllocsPerRun(500, func() { h.ServeHTTP(w, req) })
@@ -210,9 +210,9 @@ func TestEndpointNormalization(t *testing.T) {
 func TestMiddlewareStatusDefault(t *testing.T) {
 	r := New()
 	m := NewHTTPMetrics(r, "serve")
-	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	h := MiddlewareWith(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Write([]byte("implicit 200")) // no WriteHeader call
-	}), m, nil)
+	}), MiddlewareConfig{Metrics: m})
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz/live", nil))
 	if got := m.requests.With("/healthz/live", "200").Value(); got != 1 {
 		t.Fatalf("implicit 200 not recorded: %d", got)

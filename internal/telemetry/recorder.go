@@ -31,7 +31,6 @@ type Recorder struct {
 
 	threshold time.Duration // keep everything at least this slow
 	sampleBP  uint64        // boring keep probability in 1/2^20 units
-	seed      uint64
 	tick      atomic.Uint64 // offers seen; doubles as sampler stream position
 	admitted  atomic.Uint64 // global admission sequence (Trace.seq)
 
@@ -51,10 +50,11 @@ type RecorderConfig struct {
 	// SampleRate is the keep probability for traces no rule claimed,
 	// in [0, 1] (default 0.05). 1 keeps everything.
 	SampleRate float64
-	// Seed drives the deterministic sampler stream: two recorders with
-	// equal seeds admit the same subsequence of boring traces (default 1).
-	Seed uint64
 }
+
+// recorderSeed starts the sampler's splitmix64 stream, so two recorders
+// admit the same subsequence of boring traces.
+const recorderSeed = 1
 
 // NewRecorder builds a flight recorder.
 func NewRecorder(cfg RecorderConfig) *Recorder {
@@ -77,16 +77,12 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 	if cfg.SampleRate > 1 {
 		cfg.SampleRate = 1
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	half := cfg.Capacity / 2
 	return &Recorder{
 		interesting: make([]atomic.Pointer[Trace], cfg.Capacity-half),
 		sampled:     make([]atomic.Pointer[Trace], half),
 		threshold:   cfg.LatencyThreshold,
 		sampleBP:    uint64(cfg.SampleRate * (1 << 20)),
-		seed:        cfg.Seed,
 	}
 }
 
@@ -116,7 +112,7 @@ func (r *Recorder) Record(tr *Trace) bool {
 		ring, idx = r.interesting, &r.iIdx
 	default:
 		// Boring: deterministic coin from the seeded splitmix64 stream.
-		if splitmix64(r.seed+n)&(1<<20-1) >= r.sampleBP {
+		if splitmix64(recorderSeed+n)&(1<<20-1) >= r.sampleBP {
 			return false
 		}
 	}

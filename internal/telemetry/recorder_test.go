@@ -93,32 +93,28 @@ func TestRecorderInterestingSurvivesBoringFlood(t *testing.T) {
 	}
 }
 
-// TestRecorderDeterministicSampling pins the seeded sampler: equal seeds
-// admit the same boring subsequence; a different seed picks a different
-// one.
+// TestRecorderDeterministicSampling pins the seeded sampler: two
+// recorders admit the same boring subsequence, at about the configured
+// rate.
 func TestRecorderDeterministicSampling(t *testing.T) {
-	decisions := func(seed uint64) []bool {
-		rec := NewRecorder(RecorderConfig{Capacity: 512, SampleRate: 0.25, Seed: seed})
+	decisions := func() []bool {
+		rec := NewRecorder(RecorderConfig{Capacity: 512, SampleRate: 0.25})
 		out := make([]bool, 200)
 		for i := range out {
 			out[i] = rec.Record(finishedTrace(0))
 		}
 		return out
 	}
-	a, b, c := decisions(7), decisions(7), decisions(8)
-	sameAB, sameAC, keptA := true, true, 0
+	a, b := decisions(), decisions()
+	same, keptA := true, 0
 	for i := range a {
-		sameAB = sameAB && a[i] == b[i]
-		sameAC = sameAC && a[i] == c[i]
+		same = same && a[i] == b[i]
 		if a[i] {
 			keptA++
 		}
 	}
-	if !sameAB {
-		t.Error("equal seeds admitted different subsequences")
-	}
-	if sameAC {
-		t.Error("different seeds admitted identical subsequences")
+	if !same {
+		t.Error("two recorders admitted different subsequences")
 	}
 	// ~25% of 200, with generous slack for the hash stream.
 	if keptA < 20 || keptA > 90 {

@@ -59,7 +59,7 @@ const (
 	// changed state.
 	FlagBreaker
 	// FlagForce unconditionally keeps the trace (operational traces:
-	// snapshot saves, runner jobs, watchdog captures).
+	// snapshot loads and saves).
 	FlagForce
 	// flagSealed is set by Finish: the trace's span arena stops
 	// accepting new spans (late hedge-goroutine writers drop cleanly).

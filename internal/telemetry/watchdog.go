@@ -20,8 +20,8 @@ import (
 // snapshot, goroutine and heap profiles, and a meta record — into its
 // directory. Triggers:
 //
-//   - p99_over_budget: the rolling p99 of the configured latency
-//     histogram over the last poll window exceeded the budget;
+//   - p99_over_budget: the rolling p99 of the request latency histogram
+//     over the last poll window exceeded watchdogP99Budget;
 //   - breaker_open: any cluster_breaker_state series reached 2 (open);
 //   - ready_flap: the serve_ready gauge fell from 1 to 0.
 //
@@ -30,9 +30,16 @@ import (
 // cooldown, so a sustained incident produces a handful of bundles, not
 // a disk-filling stream.
 type Watchdog struct {
-	reg *Registry
-	rec *Recorder
-	cfg WatchdogConfig
+	reg  *Registry
+	rec  *Recorder
+	dir  string
+	logf func(format string, args ...any)
+
+	// The trigger policy: NewWatchdog sets the watchdog* constants;
+	// tests tighten them on the value they built.
+	interval   time.Duration
+	cooldown   time.Duration
+	maxBundles int
 
 	stop chan struct{}
 	done chan struct{}
@@ -44,64 +51,44 @@ type Watchdog struct {
 	bundles     atomic.Int64
 }
 
-// WatchdogConfig configures NewWatchdog; zero fields take the
-// documented defaults.
-type WatchdogConfig struct {
-	// Dir receives the bundle directories (required).
-	Dir string
-	// Interval is the poll period (default 2s).
-	Interval time.Duration
-	// P99Budget triggers when the windowed p99 of HistogramName exceeds
-	// it (default 1s; negative disables the latency trigger).
-	P99Budget time.Duration
-	// HistogramName is the latency histogram family the p99 trigger
-	// watches (default "serve_http_request_duration_seconds").
-	HistogramName string
-	// MinWindowSamples is the minimum observation count in a window for
-	// its p99 to be trusted (default 5 — one slow curl during boot
-	// should not trip the alarm).
-	MinWindowSamples int
-	// Cooldown rate-limits bundle writes (default 30s).
-	Cooldown time.Duration
-	// MaxBundles stops writing after this many bundles in one process
-	// lifetime (default 16).
-	MaxBundles int
-	// Logf receives one line per trigger and bundle (default discard).
-	Logf func(format string, args ...any)
-}
+// The watchdog's trigger policy.
+const (
+	// watchdogInterval is the poll period.
+	watchdogInterval = 2 * time.Second
+	// watchdogP99Budget trips p99_over_budget when the windowed p99 of
+	// watchdogHistogram exceeds it.
+	watchdogP99Budget = time.Second
+	watchdogHistogram = "serve_http_request_duration_seconds"
+	// watchdogMinWindowSamples is the minimum observation count in a
+	// window for its p99 to be trusted: one slow curl during boot should
+	// not trip the alarm.
+	watchdogMinWindowSamples = 5
+	// watchdogCooldown rate-limits bundle writes.
+	watchdogCooldown = 30 * time.Second
+	// watchdogMaxBundles stops writing after this many bundles in one
+	// process lifetime.
+	watchdogMaxBundles = 16
+)
 
 // NewWatchdog builds a watchdog over reg and rec (rec may be nil — the
-// bundle then simply has no traces). Call Run on a goroutine, Close to
-// stop.
-func NewWatchdog(reg *Registry, rec *Recorder, cfg WatchdogConfig) *Watchdog {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 2 * time.Second
-	}
-	if cfg.P99Budget == 0 {
-		cfg.P99Budget = time.Second
-	}
-	if cfg.HistogramName == "" {
-		cfg.HistogramName = "serve_http_request_duration_seconds"
-	}
-	if cfg.MinWindowSamples <= 0 {
-		cfg.MinWindowSamples = 5
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 30 * time.Second
-	}
-	if cfg.MaxBundles <= 0 {
-		cfg.MaxBundles = 16
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
+// bundle then simply has no traces) that writes its bundles under dir
+// and logs one line per trigger and bundle to logf (nil discards). Call
+// Run on a goroutine, Close to stop.
+func NewWatchdog(reg *Registry, rec *Recorder, dir string, logf func(format string, args ...any)) *Watchdog {
+	if logf == nil {
+		logf = func(string, ...any) {}
 	}
 	return &Watchdog{
-		reg:       reg,
-		rec:       rec,
-		cfg:       cfg,
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-		readyPrev: -1,
+		reg:        reg,
+		rec:        rec,
+		dir:        dir,
+		logf:       logf,
+		interval:   watchdogInterval,
+		cooldown:   watchdogCooldown,
+		maxBundles: watchdogMaxBundles,
+		stop:       make(chan struct{}),
+		done:       make(chan struct{}),
+		readyPrev:  -1,
 	}
 }
 
@@ -110,7 +97,7 @@ func NewWatchdog(reg *Registry, rec *Recorder, cfg WatchdogConfig) *Watchdog {
 // never to a crashed server.
 func (w *Watchdog) Run() {
 	defer close(w.done)
-	ticker := time.NewTicker(w.cfg.Interval)
+	ticker := time.NewTicker(w.interval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -139,29 +126,27 @@ func (w *Watchdog) Bundles() int64 { return w.bundles.Load() }
 func (w *Watchdog) tick() {
 	var b strings.Builder
 	if err := w.reg.WritePrometheus(&b); err != nil {
-		w.cfg.Logf("watchdog: self-scrape: %v", err)
+		w.logf("watchdog: self-scrape: %v", err)
 		return
 	}
 	sc, err := ParseText(strings.NewReader(b.String()))
 	if err != nil {
-		w.cfg.Logf("watchdog: parse self-scrape: %v", err)
+		w.logf("watchdog: parse self-scrape: %v", err)
 		return
 	}
 
 	// p99 over the last window: delta of the cumulative buckets.
-	if w.cfg.P99Budget > 0 {
-		buckets := sc.Buckets(w.cfg.HistogramName, nil)
-		if w.lastBuckets != nil {
-			delta := DeltaBuckets(w.lastBuckets, buckets)
-			if n := delta[infBound]; n >= float64(w.cfg.MinWindowSamples) {
-				if p99 := QuantileFromBuckets(delta, 0.99); p99 > w.cfg.P99Budget.Seconds() {
-					w.trigger(fmt.Sprintf("p99_over_budget p99=%.3fs budget=%v window_n=%.0f",
-						p99, w.cfg.P99Budget, n), "p99_over_budget")
-				}
+	buckets := sc.Buckets(watchdogHistogram, nil)
+	if w.lastBuckets != nil {
+		delta := DeltaBuckets(w.lastBuckets, buckets)
+		if n := delta[infBound]; n >= watchdogMinWindowSamples {
+			if p99 := QuantileFromBuckets(delta, 0.99); p99 > watchdogP99Budget.Seconds() {
+				w.trigger(fmt.Sprintf("p99_over_budget p99=%.3fs budget=%v window_n=%.0f",
+					p99, watchdogP99Budget, n), "p99_over_budget")
 			}
 		}
-		w.lastBuckets = buckets
 	}
+	w.lastBuckets = buckets
 
 	// Breaker open: any peer's exported state at 2.
 	breakerOpen := false
@@ -187,21 +172,21 @@ func (w *Watchdog) tick() {
 
 // trigger writes a bundle unless rate-limited.
 func (w *Watchdog) trigger(detail, reason string) {
-	if time.Since(w.lastBundle) < w.cfg.Cooldown {
-		w.cfg.Logf("watchdog: %s suppressed (cooldown)", detail)
+	if time.Since(w.lastBundle) < w.cooldown {
+		w.logf("watchdog: %s suppressed (cooldown)", detail)
 		return
 	}
-	if w.bundles.Load() >= int64(w.cfg.MaxBundles) {
-		w.cfg.Logf("watchdog: %s suppressed (bundle cap %d reached)", detail, w.cfg.MaxBundles)
+	if w.bundles.Load() >= int64(w.maxBundles) {
+		w.logf("watchdog: %s suppressed (bundle cap %d reached)", detail, w.maxBundles)
 		return
 	}
 	dir, err := w.WriteBundle(reason, detail)
 	if err != nil {
-		w.cfg.Logf("watchdog: bundle for %s: %v", reason, err)
+		w.logf("watchdog: bundle for %s: %v", reason, err)
 		return
 	}
 	w.lastBundle = time.Now()
-	w.cfg.Logf("watchdog: %s -> bundle %s", detail, dir)
+	w.logf("watchdog: %s -> bundle %s", detail, dir)
 }
 
 // bundleMeta is the bundle's meta.json document.
@@ -226,7 +211,7 @@ type bundleMeta struct {
 //	    heap.pprof       heap profile
 func (w *Watchdog) WriteBundle(reason, detail string) (string, error) {
 	now := time.Now()
-	dir := filepath.Join(w.cfg.Dir,
+	dir := filepath.Join(w.dir,
 		fmt.Sprintf("bundle-%d-%s", now.UnixMilli(), sanitizeReason(reason)))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err

@@ -14,11 +14,9 @@ import (
 // loop, so trigger evaluation is deterministic.
 func newTestWatchdog(t *testing.T, reg *Registry, rec *Recorder) *Watchdog {
 	t.Helper()
-	return NewWatchdog(reg, rec, WatchdogConfig{
-		Dir:              t.TempDir(),
-		Cooldown:         time.Nanosecond,
-		MinWindowSamples: 3,
-	})
+	w := NewWatchdog(reg, rec, t.TempDir(), nil)
+	w.cooldown = time.Nanosecond
+	return w
 }
 
 func TestWatchdogP99Trigger(t *testing.T) {
@@ -61,7 +59,7 @@ func TestWatchdogMinWindowSamples(t *testing.T) {
 	h := reg.Histogram("serve_http_request_duration_seconds", "test latency", nil)
 	w := newTestWatchdog(t, reg, nil)
 	w.tick()
-	h.Observe(5.0) // one slow boot-time request, below MinWindowSamples=3
+	h.Observe(5.0) // one slow boot-time request, below watchdogMinWindowSamples
 	w.tick()
 	if w.Bundles() != 0 {
 		t.Fatal("single-sample window tripped the p99 trigger")
@@ -118,7 +116,7 @@ func TestWatchdogReadyFlapTrigger(t *testing.T) {
 func TestWatchdogCooldownSuppresses(t *testing.T) {
 	reg := New()
 	g := reg.Gauge("serve_ready", "readiness")
-	w := NewWatchdog(reg, nil, WatchdogConfig{Dir: t.TempDir()}) // default 30s cooldown
+	w := NewWatchdog(reg, nil, t.TempDir(), nil) // 30s cooldown
 	g.Set(1)
 	w.tick()
 	g.Set(0)
@@ -139,7 +137,7 @@ func TestWatchdogBundleContents(t *testing.T) {
 	slow := finishedTrace(FlagError)
 	rec.Record(slow)
 	dir := t.TempDir()
-	w := NewWatchdog(reg, rec, WatchdogConfig{Dir: dir})
+	w := NewWatchdog(reg, rec, dir, nil)
 
 	bdir, err := w.WriteBundle("manual", "test capture")
 	if err != nil {
@@ -199,9 +197,8 @@ func TestWatchdogBundleContents(t *testing.T) {
 func TestWatchdogMaxBundlesCap(t *testing.T) {
 	reg := New()
 	g := reg.Gauge("serve_ready", "readiness")
-	w := NewWatchdog(reg, nil, WatchdogConfig{
-		Dir: t.TempDir(), Cooldown: time.Nanosecond, MaxBundles: 2,
-	})
+	w := NewWatchdog(reg, nil, t.TempDir(), nil)
+	w.cooldown, w.maxBundles = time.Nanosecond, 2
 	for i := 0; i < 4; i++ {
 		g.Set(1)
 		w.tick()
@@ -210,13 +207,14 @@ func TestWatchdogMaxBundlesCap(t *testing.T) {
 		w.tick()
 	}
 	if w.Bundles() != 2 {
-		t.Fatalf("bundles = %d with MaxBundles 2, want 2", w.Bundles())
+		t.Fatalf("bundles = %d with a cap of 2, want 2", w.Bundles())
 	}
 }
 
 func TestWatchdogRunClose(t *testing.T) {
 	reg := New()
-	w := NewWatchdog(reg, nil, WatchdogConfig{Dir: t.TempDir(), Interval: time.Millisecond})
+	w := NewWatchdog(reg, nil, t.TempDir(), nil)
+	w.interval = time.Millisecond
 	go w.Run()
 	time.Sleep(5 * time.Millisecond)
 	w.Close()
