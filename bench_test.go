@@ -286,6 +286,37 @@ func BenchmarkDPPruned(b *testing.B) {
 	}
 }
 
+// BenchmarkCurveColdExtend is the compute rung under the oracle's cold
+// misses: back-to-back cold builds of an exact curve to horizon k through
+// the capacity ladder, each released once built, exactly as the oracle
+// rests an entry. One untimed build first fills the grid pool, so B/op is
+// the steady state of a churning cache: readouts and interval buffers,
+// not the O(cap²) grids. The builds run on one P: sync.Pool offers a
+// freed grid first to the P that freed it, so a goroutine migrating
+// between Ps would allocate a second set of grids once, and a -benchtime
+// 1x run would archive that instead of the steady state.
+func BenchmarkCurveColdExtend(b *testing.B) {
+	c := settlement.New(charstring.MustParams(1-2*0.30, 0.5*(1-0.30)))
+	build := func(b *testing.B, k int) {
+		cv := c.Curve(0)
+		if err := cv.Extend(k); err != nil {
+			b.Fatal(err)
+		}
+		cv.Release()
+	}
+	for _, k := range []int{50, 200} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			build(b, k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				build(b, k)
+			}
+		})
+	}
+}
+
 // BenchmarkUpperCurveIncremental: the fixed-geometry upper-bound curve
 // extended in doublings (the ConfirmationDepth access pattern) versus
 // recomputed from scratch at every doubling (the pre-lattice behaviour).

@@ -62,21 +62,44 @@ func latticeInvariants() []Invariant {
 // checkLatticeBandedEqualsFull seeds a banded and a Full engine with the
 // same random stencil, geometry and initial mass and asserts cell-level
 // bitwise equality after every step. Equality is exact, not approximate:
-// Full mode accumulates the identical flows in the identical order, merely
-// over a wider (zero-padded) scan, and x + f·0 == x in IEEE arithmetic.
+// the banded step's fused row pass forms each cell from the same terms in
+// the same order as Full mode's accumulate path, cells outside a banded
+// buffer's live region are zero, and 0 + x == x for x ≥ +0. Small trials
+// hit the caps and boundary rows; large ones (up to 64 cells per side,
+// mass seeded away from the caps) keep interior rows on the fused pass for
+// many steps. Every banded engine is built after freeing a dirty engine of
+// its geometry, so it runs on a recycled grid, and Mass reads stored cells
+// directly, so any leftover of the dirty sweep would show in the
+// comparison.
 func checkLatticeBandedEqualsFull(t *testing.T, r *rand.Rand) {
-	for trial := 0; trial < 20; trial++ {
+	recycled := 0
+	for trial := 0; trial < 28; trial++ {
 		pa := 0.05 + 0.40*r.Float64()
 		ph := 0.05 + 0.40*r.Float64()
 		st := lattice.Stencil{PA: pa, Ph: ph, PH: 1 - pa - ph, StickyReach: r.Intn(2) == 0}
-		g := lattice.Geometry{
-			RMax: 3 + r.Intn(10),
-			SMin: -(3 + r.Intn(10)),
-			SMax: 3 + r.Intn(10),
+		large := trial >= 20
+		side := func() int { return 3 + r.Intn(10) }
+		if large {
+			side = func() int { return 32 + r.Intn(33) }
 		}
+		g := lattice.Geometry{RMax: side(), SMin: -side(), SMax: side()}
+		dirty, err := lattice.NewEngine(g, st, lattice.Options{Tau: 1e-12 * float64(r.Intn(2))})
+		if err != nil {
+			t.Fatalf("trial %d: dirty engine: %v", trial, err)
+		}
+		for i := 0; i < 8; i++ {
+			dirty.Add(r.Intn(g.RMax+1), g.SMin+r.Intn(g.SMax-g.SMin+1), r.Float64())
+		}
+		for i := r.Intn(2 * g.RMax); i > 0; i-- {
+			dirty.Step()
+		}
+		dirty.Free()
 		banded, err := lattice.NewEngine(g, st, lattice.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: banded engine: %v", trial, err)
+		}
+		if banded.Recycled() {
+			recycled++
 		}
 		full, err := lattice.NewEngine(g, st, lattice.Options{Full: true})
 		if err != nil {
@@ -85,6 +108,10 @@ func checkLatticeBandedEqualsFull(t *testing.T, r *rand.Rand) {
 		for i := 0; i < 1+r.Intn(6); i++ {
 			rr := r.Intn(g.RMax + 1)
 			ss := g.SMin + r.Intn(g.SMax-g.SMin+1)
+			if large {
+				rr = g.RMax/4 + r.Intn(g.RMax/2)
+				ss = g.SMin/2 + r.Intn((g.SMax-g.SMin)/2)
+			}
 			m := r.Float64()
 			banded.Add(rr, ss, m)
 			full.Add(rr, ss, m)
@@ -110,6 +137,12 @@ func checkLatticeBandedEqualsFull(t *testing.T, r *rand.Rand) {
 				}
 			}
 		}
+		banded.Free()
+	}
+	// sync.Pool may drop a freed grid (the race detector drops a random
+	// quarter on purpose), but never all of them.
+	if recycled == 0 {
+		t.Fatal("no banded engine ran on a recycled grid")
 	}
 }
 

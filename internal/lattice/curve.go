@@ -8,7 +8,9 @@ import (
 // Builder constructs a fresh, seeded engine whose sweep is faithful (exact,
 // or rigorously conservative for sticky-reach chains) for every horizon
 // t ≤ kCap. Fixed-geometry chains — the saturating upper-bound chain, whose
-// caps do not depend on the horizon — may ignore kCap.
+// caps do not depend on the horizon — may ignore kCap. The Curve alone owns
+// the engine it gets and frees it (Engine.Free) on a ladder rung change and
+// on Release, so a Builder must never return an engine anything else holds.
 type Builder func(kCap int) (*Engine, error)
 
 // Curve is an incrementally extensible settlement curve: the per-horizon
@@ -55,14 +57,20 @@ type Builder func(kCap int) (*Engine, error)
 //
 // A Curve holds two kinds of state: the O(k) readouts every answer is
 // read from, and the engine's O(cap²) mass grid, which is needed only to
-// extend past Len(). Release drops the grid and leaves the readouts, the
+// extend past Len(). Release frees the grid and leaves the readouts, the
 // same state Restore produces; the next Extend past Len() rebuilds and
 // replays from step zero through the canonical ladder, so its values are
 // byte-identical to those of a curve that never released (the
 // readout-residency-identity conformance invariant). A search that
-// extends step after step (core.ConfirmationDepth, the Table 1 sweeps)
-// keeps its engine; a cache that answers mostly from readouts
-// (internal/oracle) releases it once each request's extension is done.
+// extends step after step (core.ConfirmationDepth) keeps its engine; a
+// cache that answers mostly from readouts (internal/oracle) releases it
+// once each request's extension is done, and a one-shot sweep
+// (settlement.ViolationCurve and its kin) releases it once read.
+//
+// A freed grid, its live bands cleared, goes to a pool keyed by size, and
+// the next NewEngine of that size takes it instead of allocating and
+// zeroing a fresh one: after the first cold build, the next builds of the
+// same ladder rungs allocate only their readouts and interval buffers.
 type Curve struct {
 	build Builder
 	fixed bool
@@ -114,6 +122,7 @@ func (c *Curve) Extend(k int) error {
 			if !c.fixed {
 				kCap = capFor(len(c.lower) + 1)
 			}
+			c.Release()
 			eng, err := c.build(kCap)
 			if err != nil {
 				return err
@@ -182,10 +191,16 @@ func (c *Curve) ValuesUpTo(k int) []float64 {
 	return out
 }
 
-// Release drops the cached engine and keeps the readouts: every horizon
-// 1..Len() still serves, and the next Extend past Len() rebuilds the
-// engine and replays the sweep from step zero, exactly as after Restore.
-func (c *Curve) Release() { c.eng, c.cap = nil, 0 }
+// Release frees the cached engine, handing its grids back for the next
+// build to reuse, and keeps the readouts: every horizon 1..Len() still
+// serves, and the next Extend past Len() rebuilds the engine and replays
+// the sweep from step zero, exactly as after Restore.
+func (c *Curve) Release() {
+	if c.eng != nil {
+		c.eng.Free()
+	}
+	c.eng, c.cap = nil, 0
+}
 
 // ReadoutBytes returns the heap footprint of the readout slices alone:
 // what a released curve keeps resident.

@@ -31,6 +31,12 @@
 // window [rLo, rHi], scanning only live cells each step. On the Table 1
 // grids this touches well under a tenth of the cells the full scan visits.
 //
+// Every cell of either buffer outside that buffer's live region is zero.
+// This rule is what lets a step write an interior destination row in one
+// fused pass, reading whole source ranges instead of band-limited pieces,
+// and what lets a freed engine hand its grids back for reuse after clearing
+// only its live bands (Free).
+//
 // # Threshold pruning and the dropped-mass ledger
 //
 // With τ > 0 the engine retires band-edge cells whose mass is ≤ τ and adds
@@ -42,9 +48,18 @@
 // ledger stays identically zero, and the bracket collapses to the exact
 // value. Interior cells are never pruned, only band edges, so the live
 // region stays a contiguous band per row.
+//
+// # Floating point
+//
+// Every product is wrapped in an explicit float64 conversion, which the Go
+// spec defines to round, so no architecture may fuse it with the following
+// addition into an FMA: the readouts are the same bits on every GOARCH.
 package lattice
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Geometry is the saturating state-space box: r ∈ [0, RMax], s ∈ [SMin, SMax].
 type Geometry struct {
@@ -78,6 +93,34 @@ type Options struct {
 	Full bool
 }
 
+// grid is the pair of mass buffers behind a banded engine. Every grid in
+// gridPools is all zero.
+type grid struct{ a, b []float64 }
+
+// gridPools maps a buffer length in cells to the *sync.Pool of freed,
+// zeroed grids of that length.
+var gridPools sync.Map
+
+// getGrid returns an all-zero grid of n cells per buffer, recycled when
+// the pool has one, and whether it was.
+func getGrid(n int) (*grid, bool) {
+	if p, ok := gridPools.Load(n); ok {
+		if g, _ := p.(*sync.Pool).Get().(*grid); g != nil {
+			return g, true
+		}
+	}
+	return &grid{a: make([]float64, n), b: make([]float64, n)}, false
+}
+
+// putGrid hands a zeroed grid to the pool of its length.
+func putGrid(g *grid) {
+	p, ok := gridPools.Load(len(g.a))
+	if !ok {
+		p, _ = gridPools.LoadOrStore(len(g.a), new(sync.Pool))
+	}
+	p.(*sync.Pool).Put(g)
+}
+
 // Engine advances mass over the capped lattice one step at a time.
 // It is not safe for concurrent use; run independent chains on independent
 // engines (that is how the Table 1 block sweep parallelizes).
@@ -89,16 +132,23 @@ type Engine struct {
 	width int // SMax − SMin + 1
 	off   int // −SMin: index of s = 0 within a row
 
-	cur, next []float64 // flat [r*width + s+off] double buffer
-	lo, hi    []int     // live interval per row of cur (s-coordinates)
-	nLo, nHi  []int     // scratch intervals for next
-	rLo, rHi  int       // live row window of cur; rLo > rHi means empty
+	grid       *grid     // pooled backing of cur and next; nil in Full mode
+	recycled   bool      // grid came from the pool
+	cur, next  []float64 // flat [r*width + s+off] double buffer
+	lo, hi     []int     // live interval per row of cur (s-coordinates)
+	nLo, nHi   []int     // live interval per row of next
+	rLo, rHi   int       // live row window of cur; rLo > rHi means empty
+	nrLo, nrHi int       // live row window of next
 
+	tail    float64 // TailMass of cur, summed by the last Step
+	tailOK  bool    // tail is current (no Add since that Step)
 	dropped float64
 	steps   int
 }
 
-// NewEngine validates the configuration and returns an empty engine.
+// NewEngine validates the configuration and returns an empty engine. A
+// banded engine draws its grids from the pool that Free fills; a Full-mode
+// engine allocates its own.
 func NewEngine(g Geometry, st Stencil, opt Options) (*Engine, error) {
 	if g.RMax < 1 || g.SMin > -1 || g.SMax < 1 {
 		return nil, fmt.Errorf("lattice: invalid geometry %+v (need RMax ≥ 1, SMin ≤ −1, SMax ≥ 1)", g)
@@ -122,13 +172,19 @@ func NewEngine(g Geometry, st Stencil, opt Options) (*Engine, error) {
 		off:   -g.SMin,
 	}
 	n := (g.RMax + 1) * e.width
-	e.cur = make([]float64, n)
-	e.next = make([]float64, n)
+	if opt.Full {
+		e.cur = make([]float64, n)
+		e.next = make([]float64, n)
+	} else {
+		e.grid, e.recycled = getGrid(n)
+		e.cur, e.next = e.grid.a, e.grid.b
+	}
 	e.lo = make([]int, g.RMax+1)
 	e.hi = make([]int, g.RMax+1)
 	e.nLo = make([]int, g.RMax+1)
 	e.nHi = make([]int, g.RMax+1)
 	e.rLo, e.rHi = g.RMax+1, -1
+	e.nrLo, e.nrHi = g.RMax+1, -1
 	if opt.Full {
 		for r := range e.lo {
 			e.lo[r], e.hi[r] = g.SMin, g.SMax
@@ -138,13 +194,43 @@ func NewEngine(g Geometry, st Stencil, opt Options) (*Engine, error) {
 	return e, nil
 }
 
+// Free clears the live bands of both grids and hands them to the pool that
+// NewEngine draws from. The engine must not be used afterwards; a second
+// Free is a no-op. A Full-mode engine's grids are not pooled and are simply
+// dropped.
+func (e *Engine) Free() {
+	if e.grid != nil {
+		e.clearBand(e.cur, e.lo, e.hi, e.rLo, e.rHi)
+		e.clearBand(e.next, e.nLo, e.nHi, e.nrLo, e.nrHi)
+		putGrid(e.grid)
+	}
+	e.grid, e.cur, e.next = nil, nil, nil
+}
+
+// Recycled reports whether NewEngine drew this engine's grids from the
+// pool of freed grids rather than allocating them.
+func (e *Engine) Recycled() bool { return e.recycled }
+
+// clearBand zeroes the live region (row window [rLo, rHi], intervals lo/hi)
+// of buffer buf.
+func (e *Engine) clearBand(buf []float64, lo, hi []int, rLo, rHi int) {
+	for r := rLo; r <= rHi; r++ {
+		if lo[r] <= hi[r] {
+			base := r*e.width + e.off
+			clear(buf[base+lo[r] : base+hi[r]+1])
+		}
+	}
+}
+
 // Add deposits mass at (r, s), saturating both coordinates into the geometry
-// box. Non-positive mass is ignored. Add is intended for seeding the initial
-// law before the first Step.
+// box. Non-positive mass is ignored. Add seeds the initial law before the
+// first Step and may also deposit between steps; it widens the live region
+// to cover the cell (the cells it newly covers are already zero).
 func (e *Engine) Add(r, s int, mass float64) {
 	if mass <= 0 {
 		return
 	}
+	e.tailOK = false
 	if r < 0 {
 		r = 0
 	}
@@ -158,35 +244,23 @@ func (e *Engine) Add(r, s int, mass float64) {
 		s = e.geo.SMax
 	}
 	if !e.opt.Full {
-		// Rows outside [rLo, rHi] and cells outside [lo, hi] may hold stale
-		// garbage from the lazy zeroing; initialize intervals explicitly.
 		if e.rLo > e.rHi { // first deposit
 			e.rLo, e.rHi = r, r
 			e.lo[r], e.hi[r] = s, s
-			e.cur[r*e.width+s+e.off] = mass
-			return
+		} else {
+			for rr := r; rr < e.rLo; rr++ {
+				e.lo[rr], e.hi[rr] = 1, 0 // empty sentinel
+			}
+			for rr := e.rHi + 1; rr <= r; rr++ {
+				e.lo[rr], e.hi[rr] = 1, 0
+			}
+			e.rLo, e.rHi = min(e.rLo, r), max(e.rHi, r)
+			if e.lo[r] > e.hi[r] { // row was empty
+				e.lo[r], e.hi[r] = s, s
+			} else {
+				e.lo[r], e.hi[r] = min(e.lo[r], s), max(e.hi[r], s)
+			}
 		}
-		for rr := r; rr < e.rLo; rr++ {
-			e.lo[rr], e.hi[rr] = 1, 0 // empty sentinel
-		}
-		for rr := e.rHi + 1; rr <= r; rr++ {
-			e.lo[rr], e.hi[rr] = 1, 0
-		}
-		e.rLo, e.rHi = min(e.rLo, r), max(e.rHi, r)
-		lo, hi := e.lo[r], e.hi[r]
-		if lo > hi { // row was empty
-			e.lo[r], e.hi[r] = s, s
-			e.cur[r*e.width+s+e.off] = mass
-			return
-		}
-		base := r * e.width
-		for ss := s; ss < lo; ss++ {
-			e.cur[base+ss+e.off] = 0
-		}
-		for ss := hi + 1; ss <= s; ss++ {
-			e.cur[base+ss+e.off] = 0
-		}
-		e.lo[r], e.hi[r] = min(lo, s), max(hi, s)
 	}
 	e.cur[r*e.width+s+e.off] += mass
 }
@@ -194,8 +268,9 @@ func (e *Engine) Add(r, s int, mass float64) {
 // Steps returns how many steps have been taken.
 func (e *Engine) Steps() int { return e.steps }
 
-// MemBytes returns the heap footprint of the engine's grid and window
-// buffers — the dominant cost of keeping a chain resident in a cache.
+// MemBytes returns the heap footprint of the engine's grids and interval
+// buffers: what a Curve holds on top of its readouts while a build is in
+// flight, until Release frees the engine.
 func (e *Engine) MemBytes() int64 {
 	return int64(cap(e.cur)+cap(e.next))*8 +
 		int64(cap(e.lo)+cap(e.hi)+cap(e.nLo)+cap(e.nHi))*8
@@ -220,24 +295,26 @@ func (e *Engine) Window() (rLo, rHi, sLo, sHi int) {
 	return e.rLo, e.rHi, sLo, sHi
 }
 
-// Mass returns the mass currently held at cell (r, s), and zero for any
-// cell outside the live region. Cells outside the live window may hold
-// stale storage under the lazy zeroing discipline, so the readout consults
-// the window first; this is the cell-resolution reference hook the
-// conformance suite uses to compare banded and Full sweeps bit for bit.
+// Mass returns the mass currently held at cell (r, s), and zero outside the
+// geometry box. It reads the stored cell directly: outside the live region
+// that cell is zero by the engine's storage rule, so comparing Mass over the
+// whole box (as the conformance suite does against a Full sweep) also checks
+// the rule.
 func (e *Engine) Mass(r, s int) float64 {
 	if r < 0 || r > e.geo.RMax || s < e.geo.SMin || s > e.geo.SMax {
-		return 0
-	}
-	if r < e.rLo || r > e.rHi || s < e.lo[r] || s > e.hi[r] {
 		return 0
 	}
 	return e.cur[r*e.width+s+e.off]
 }
 
 // TailMass returns the mass at s ≥ 0 — the settlement-violation readout
-// Pr[µ ≥ 0] of the current step.
+// Pr[µ ≥ 0] of the current step. A banded Step sums it while trimming, in
+// the row-major order of the scan below, so both give the same bits; the
+// scan serves Full mode, and any state seeded or topped up by Add.
 func (e *Engine) TailMass() float64 {
+	if e.tailOK {
+		return e.tail
+	}
 	total := 0.0
 	for r := e.rLo; r <= e.rHi; r++ {
 		lo, hi := e.lo[r], e.hi[r]
@@ -283,7 +360,7 @@ func (e *Engine) shiftAdd(dst, src []float64, lo, hi, shift int, f float64) (int
 	o := e.off
 	wLo, wHi := lo+shift, hi+shift
 	if wLo < e.geo.SMin { // shift = −1, lo == SMin
-		dst[e.geo.SMin+o] += f * src[e.geo.SMin+o]
+		dst[e.geo.SMin+o] += float64(f * src[e.geo.SMin+o])
 		lo++
 		wLo = e.geo.SMin
 		if lo > hi {
@@ -291,7 +368,7 @@ func (e *Engine) shiftAdd(dst, src []float64, lo, hi, shift int, f float64) (int
 		}
 	}
 	if wHi > e.geo.SMax { // shift = +1, hi == SMax
-		dst[e.geo.SMax+o] += f * src[e.geo.SMax+o]
+		dst[e.geo.SMax+o] += float64(f * src[e.geo.SMax+o])
 		hi--
 		wHi = e.geo.SMax
 		if lo > hi {
@@ -302,7 +379,7 @@ func (e *Engine) shiftAdd(dst, src []float64, lo, hi, shift int, f float64) (int
 	s := src[lo+o : hi+o+1]
 	_ = s[len(d)-1]
 	for i := range d {
-		d[i] += f * s[i]
+		d[i] += float64(f * s[i])
 	}
 	return wLo, wHi
 }
@@ -323,134 +400,251 @@ func (e *Engine) honestInto(dst, src []float64, lo, hi, srcR int) {
 	m := src[o]
 	if m != 0 {
 		if srcR > 0 {
-			dst[o] += q * m
+			dst[o] += float64(q * m)
 		} else {
-			dst[o-1] += e.st.Ph * m // s' = −1 ≥ SMin by geometry validation
-			dst[o] += e.st.PH * m
+			dst[o-1] += float64(e.st.Ph * m) // s' = −1 ≥ SMin by geometry validation
+			dst[o] += float64(e.st.PH * m)
 		}
 	}
 	e.shiftAdd(dst, src, 1, hi, -1, q)
 }
 
+// accumulate writes destination row rd of next into dst by clearing its
+// write range and adding each contributing source row's flow, and returns
+// that range (empty, lo > hi, when no source row is live). It reads source
+// cells only inside their live intervals. Full mode steps every row this
+// way; a banded Step uses it for the boundary rows the fused pass does not
+// cover.
+func (e *Engine) accumulate(dst []float64, rd int) (int, int) {
+	g := e.geo
+	// Contributing source rows and the union of their live intervals.
+	// A-flow arrives from rd−1 (and from rd itself when rd == RMax, via
+	// reach saturation); honest flow arrives from rd+1 (suppressed when
+	// StickyReach pins row RMax), from rd itself when rd == 0 (reach
+	// reflection) or when rd == RMax under StickyReach.
+	sLo, sHi := g.SMax+1, g.SMin-1
+	srcA := rd - 1
+	if e.live(srcA) {
+		sLo, sHi = min(sLo, e.lo[srcA]), max(sHi, e.hi[srcA])
+	} else {
+		srcA = -1
+	}
+	srcASat := -1
+	if rd == g.RMax && e.live(rd) {
+		srcASat = rd
+		sLo, sHi = min(sLo, e.lo[rd]), max(sHi, e.hi[rd])
+	}
+	srcH := rd + 1
+	if srcH > g.RMax || (e.st.StickyReach && srcH == g.RMax) || !e.live(srcH) {
+		srcH = -1
+	} else {
+		sLo, sHi = min(sLo, e.lo[srcH]), max(sHi, e.hi[srcH])
+	}
+	srcHSelf := -1
+	if (rd == 0 || (e.st.StickyReach && rd == g.RMax)) && e.live(rd) {
+		srcHSelf = rd
+		sLo, sHi = min(sLo, e.lo[rd]), max(sHi, e.hi[rd])
+	}
+	if sLo > sHi {
+		return 1, 0
+	}
+	// Conservative write range: every flow lands within one cell of a live
+	// source cell (and the s = 0 stay-flow lands inside any source interval
+	// containing 0). Zero it, accumulate, then let the trim pass trim the
+	// at-most-two unwritten edge cells.
+	zLo, zHi := max(sLo-1, g.SMin), min(sHi+1, g.SMax)
+	clear(dst[zLo+e.off : zHi+e.off+1])
+
+	if srcA >= 0 {
+		e.shiftAdd(dst, e.row(e.cur, srcA), e.lo[srcA], e.hi[srcA], 1, e.st.PA)
+	}
+	if srcASat >= 0 {
+		e.shiftAdd(dst, e.row(e.cur, srcASat), e.lo[srcASat], e.hi[srcASat], 1, e.st.PA)
+	}
+	if srcH >= 0 {
+		e.honestInto(dst, e.row(e.cur, srcH), e.lo[srcH], e.hi[srcH], srcH)
+	}
+	if srcHSelf >= 0 {
+		e.honestInto(dst, e.row(e.cur, srcHSelf), e.lo[srcHSelf], e.hi[srcHSelf], srcHSelf)
+	}
+	return zLo, zHi
+}
+
+// fusedRow writes cells s ∈ [zLo, zHi] of an interior destination row
+// (0 < rd < RMax, and row rd+1 not pinned by StickyReach) in one pass from
+// its A-source row a = cur[rd−1] and honest source row h = cur[rd+1]. Each
+// cell is the sum accumulate forms, term for term and in its order: the
+// A-flow first (at SMax the saturated a[SMax] before a[SMax−1]), then the
+// honest flow (at SMin the saturated h[SMin] before h[SMin+1]; at s = 0 the
+// staying h[0] before the descending h[1]; none into s = −1, since h's
+// reach is > 0). Source cells outside their live intervals are zero, all
+// terms are ≥ +0, and 0 + x == x for x ≥ +0, so reading whole ranges and
+// dropping accumulate's leading zero leave every bit unchanged.
+func (e *Engine) fusedRow(d, a, h []float64, zLo, zHi int) {
+	pa, q := e.st.PA, e.st.Ph+e.st.PH
+	o, sMin, sMax := e.off, e.geo.SMin, e.geo.SMax
+	s := zLo
+	if s == sMin {
+		if sMin == -1 { // h[0] stays at 0; only h[−1] saturates here
+			d[o-1] = float64(q * h[o-1])
+		} else {
+			d[0] = float64(q*h[0]) + float64(q*h[1])
+		}
+		s++
+	}
+	s = stencilRun(d, a, h, s+o, min(zHi, -2)+o, pa, q) - o
+	if s == -1 && s <= zHi {
+		d[o-1] = float64(pa * a[o-2])
+		s++
+	}
+	if s == 0 && s <= zHi {
+		d[o] = float64(pa*a[o-1]) + float64(q*h[o]) + float64(q*h[o+1])
+		s++
+	}
+	s = stencilRun(d, a, h, s+o, min(zHi, sMax-1)+o, pa, q) - o
+	if s == sMax && s <= zHi {
+		d[sMax+o] = float64(pa*a[sMax+o]) + float64(pa*a[sMax+o-1])
+	}
+}
+
+// stencilRun writes d[i] = PA·a[i−1] + q·h[i+1] for buffer indices
+// i ∈ [i0, i1] (none when i0 > i1) and returns the next index to write.
+func stencilRun(d, a, h []float64, i0, i1 int, pa, q float64) int {
+	if i0 > i1 {
+		return i0
+	}
+	dd := d[i0 : i1+1]
+	aa := a[i0-1 : i1]
+	hh := h[i0+1 : i1+2]
+	_, _ = aa[len(dd)-1], hh[len(dd)-1]
+	for i := range dd {
+		dd[i] = float64(pa*aa[i]) + float64(q*hh[i])
+	}
+	return i1 + 1
+}
+
+// row returns row r of buffer buf.
+func (e *Engine) row(buf []float64, r int) []float64 {
+	return buf[r*e.width : r*e.width+e.width]
+}
+
+// band returns row r's live interval in cur, empty (lo > hi) when the row
+// is outside the live window.
+func (e *Engine) band(r int) (int, int) {
+	if r < e.rLo || r > e.rHi {
+		return 1, 0
+	}
+	return e.lo[r], e.hi[r]
+}
+
 // Step advances the chain by one step.
 func (e *Engine) Step() {
-	defer func() { e.steps++ }()
+	e.steps++
+	if e.opt.Full {
+		e.stepFull()
+		return
+	}
 	if e.rLo > e.rHi {
 		return
 	}
 	g := e.geo
+	o := e.off
 	rdLo, rdHi := max(e.rLo-1, 0), min(e.rHi+1, g.RMax)
 
-	for rd := rdLo; rd <= rdHi; rd++ {
-		// Contributing source rows and the union of their live intervals.
-		// A-flow arrives from rd−1 (and from rd itself when rd == RMax,
-		// via reach saturation); honest flow arrives from rd+1 (suppressed
-		// when StickyReach pins row RMax), from rd itself when rd == 0
-		// (reach reflection) or when rd == RMax under StickyReach.
-		sLo, sHi := g.SMax+1, g.SMin-1
-		srcA := rd - 1
-		if e.live(srcA) {
-			sLo, sHi = min(sLo, e.lo[srcA]), max(sHi, e.hi[srcA])
-		} else {
-			srcA = -1
-		}
-		srcASat := -1
-		if rd == g.RMax && e.live(rd) {
-			srcASat = rd
-			sLo, sHi = min(sLo, e.lo[rd]), max(sHi, e.hi[rd])
-		}
-		srcH := rd + 1
-		if srcH > g.RMax || (e.st.StickyReach && srcH == g.RMax) || !e.live(srcH) {
-			srcH = -1
-		} else {
-			sLo, sHi = min(sLo, e.lo[srcH]), max(sHi, e.hi[srcH])
-		}
-		srcHSelf := -1
-		if (rd == 0 || (e.st.StickyReach && rd == g.RMax)) && e.live(rd) {
-			srcHSelf = rd
-			sLo, sHi = min(sLo, e.lo[rd]), max(sHi, e.hi[rd])
-		}
-		if sLo > sHi {
-			e.nLo[rd], e.nHi[rd] = 1, 0
-			continue
-		}
-		// Conservative write range: every flow lands within one cell of a
-		// live source cell (and the s = 0 stay-flow lands inside any source
-		// interval containing 0). Zero it, accumulate, then let the prune
-		// pass trim the at-most-two unwritten edge cells.
-		zLo, zHi := max(sLo-1, g.SMin), min(sHi+1, g.SMax)
-		base := rd * e.width
-		dst := e.next[base : base+e.width]
-		clear(dst[zLo+e.off : zHi+e.off+1])
+	// next still holds the state of two steps ago. Clear the rows of its
+	// band that this step does not rewrite; each rewritten row clears its
+	// own leftovers below.
+	e.clearBand(e.next, e.nLo, e.nHi, e.nrLo, min(e.nrHi, rdLo-1))
+	e.clearBand(e.next, e.nLo, e.nHi, max(e.nrLo, rdHi+1), e.nrHi)
 
-		if srcA >= 0 {
-			src := e.cur[srcA*e.width : srcA*e.width+e.width]
-			e.shiftAdd(dst, src, e.lo[srcA], e.hi[srcA], 1, e.st.PA)
-		}
-		if srcASat >= 0 {
-			src := e.cur[srcASat*e.width : srcASat*e.width+e.width]
-			e.shiftAdd(dst, src, e.lo[srcASat], e.hi[srcASat], 1, e.st.PA)
-		}
-		if srcH >= 0 {
-			src := e.cur[srcH*e.width : srcH*e.width+e.width]
-			e.honestInto(dst, src, e.lo[srcH], e.hi[srcH], srcH)
-		}
-		if srcHSelf >= 0 {
-			src := e.cur[srcHSelf*e.width : srcHSelf*e.width+e.width]
-			e.honestInto(dst, src, e.lo[srcHSelf], e.hi[srcHSelf], srcHSelf)
-		}
-		e.nLo[rd], e.nHi[rd] = zLo, zHi
-	}
-
-	if e.opt.Full {
-		// Full mode: fixed window, no pruning. (Rows outside [rdLo, rdHi]
-		// were not recomputed; zero them so the full scan stays faithful.)
-		for rd := 0; rd < rdLo; rd++ {
-			base := rd * e.width
-			clear(e.next[base : base+e.width])
-		}
-		for rd := rdHi + 1; rd <= g.RMax; rd++ {
-			base := rd * e.width
-			clear(e.next[base : base+e.width])
-		}
-		for rd := rdLo; rd <= rdHi; rd++ {
-			base := rd * e.width
-			clear(e.next[base : base+e.off+e.nLo[rd]])
-			clear(e.next[base+e.off+e.nHi[rd]+1 : base+e.width])
-			e.nLo[rd], e.nHi[rd] = g.SMin, g.SMax
-		}
-		e.cur, e.next = e.next, e.cur
-		e.lo, e.nLo = e.nLo, e.lo
-		e.hi, e.nHi = e.nHi, e.hi
-		return
-	}
-
-	// Prune pass: trim band edges with mass ≤ τ into the ledger and
-	// contract the live window.
+	// One pass per destination row: write it, clear the old band's cells
+	// outside the write range, trim band edges with mass ≤ τ into the
+	// ledger, and sum the s ≥ 0 readout in TailMass's row-major order.
 	tau := e.opt.Tau
+	tail, dropped := 0.0, e.dropped
 	newRLo, newRHi := g.RMax+1, -1
 	for rd := rdLo; rd <= rdHi; rd++ {
-		lo, hi := e.nLo[rd], e.nHi[rd]
-		base := rd*e.width + e.off
-		for lo <= hi && e.next[base+lo] <= tau {
-			e.dropped += e.next[base+lo]
-			e.next[base+lo] = 0
+		dst := e.row(e.next, rd)
+		oLo, oHi := 1, 0
+		if rd >= e.nrLo && rd <= e.nrHi {
+			oLo, oHi = e.nLo[rd], e.nHi[rd]
+		}
+		var lo, hi int
+		if rd > 0 && rd < g.RMax && !(e.st.StickyReach && rd+1 == g.RMax) {
+			aLo, aHi := e.band(rd - 1)
+			hLo, hHi := e.band(rd + 1)
+			switch {
+			case aLo > aHi:
+				lo, hi = hLo, hHi
+			case hLo > hHi:
+				lo, hi = aLo, aHi
+			default:
+				lo, hi = min(aLo, hLo), max(aHi, hHi)
+			}
+			if lo <= hi {
+				lo, hi = max(lo-1, g.SMin), min(hi+1, g.SMax)
+				e.fusedRow(dst, e.row(e.cur, rd-1), e.row(e.cur, rd+1), lo, hi)
+			}
+		} else {
+			lo, hi = e.accumulate(dst, rd)
+		}
+		if oLo <= oHi {
+			if lo > hi {
+				clear(dst[oLo+o : oHi+o+1])
+			} else {
+				if oLo < lo {
+					clear(dst[oLo+o : min(oHi, lo-1)+o+1])
+				}
+				if oHi > hi {
+					clear(dst[max(oLo, hi+1)+o : oHi+o+1])
+				}
+			}
+		}
+		for lo <= hi && dst[lo+o] <= tau {
+			dropped += dst[lo+o]
+			dst[lo+o] = 0
 			lo++
 		}
-		for lo <= hi && e.next[base+hi] <= tau {
-			e.dropped += e.next[base+hi]
-			e.next[base+hi] = 0
+		for lo <= hi && dst[hi+o] <= tau {
+			dropped += dst[hi+o]
+			dst[hi+o] = 0
 			hi--
 		}
 		e.nLo[rd], e.nHi[rd] = lo, hi
-		if lo <= hi {
-			newRLo, newRHi = min(newRLo, rd), max(newRHi, rd)
+		if lo > hi {
+			continue
+		}
+		newRLo, newRHi = min(newRLo, rd), max(newRHi, rd)
+		if hi >= 0 {
+			for _, m := range dst[max(lo, 0)+o : hi+o+1] {
+				tail += m
+			}
 		}
 	}
-	e.rLo, e.rHi = newRLo, newRHi
 	e.cur, e.next = e.next, e.cur
 	e.lo, e.nLo = e.nLo, e.lo
 	e.hi, e.nHi = e.nHi, e.hi
+	e.rLo, e.nrLo = newRLo, e.rLo
+	e.rHi, e.nrHi = newRHi, e.rHi
+	e.tail, e.tailOK = tail, true
+	e.dropped = dropped
+}
+
+// stepFull is Step in Full mode: every row of the fixed full window is
+// rewritten by accumulate, nothing is pruned, and TailMass scans.
+func (e *Engine) stepFull() {
+	g := e.geo
+	for rd := 0; rd <= g.RMax; rd++ {
+		dst := e.row(e.next, rd)
+		zLo, zHi := e.accumulate(dst, rd)
+		if zLo > zHi {
+			clear(dst)
+			continue
+		}
+		clear(dst[:zLo+e.off])
+		clear(dst[zHi+e.off+1:])
+	}
+	e.cur, e.next = e.next, e.cur
 }
 
 // live reports whether source row r is inside the live window with a

@@ -1,0 +1,5 @@
+//go:build !race
+
+package lattice
+
+const raceEnabled = false

@@ -140,6 +140,7 @@ func (c *Computer) ViolationProbability(k int) (float64, error) {
 	// byte-identical to ViolationCurve(k)[k-1] and to an oracle-cached
 	// curve extended to k in any number of stages.
 	cv := c.Curve(0)
+	defer cv.Release()
 	if err := cv.Extend(k); err != nil {
 		return 0, err
 	}
@@ -158,6 +159,7 @@ func (c *Computer) ViolationCurve(k int) ([]float64, error) {
 		return nil, fmt.Errorf("settlement: k = %d must be ≥ 1", k)
 	}
 	cv := c.Curve(0)
+	defer cv.Release()
 	if err := cv.Extend(k); err != nil {
 		return nil, err
 	}
@@ -175,6 +177,7 @@ func (c *Computer) ViolationBracket(k int, tau float64) (lower, upper float64, e
 	// bit-equal to the curve endpoint (pinned by TestPropertyPrunedBracket-
 	// ContainsExact), so cached and cold paths can never disagree.
 	cv := c.Curve(tau)
+	defer cv.Release()
 	if err := cv.Extend(k); err != nil {
 		return 0, 0, err
 	}
@@ -193,6 +196,7 @@ func (c *Computer) ViolationCurveBracket(k int, tau float64) (lower, upper []flo
 		return nil, nil, fmt.Errorf("settlement: k = %d must be ≥ 1", k)
 	}
 	cv := c.Curve(tau)
+	defer cv.Release()
 	if err := cv.Extend(k); err != nil {
 		return nil, nil, err
 	}
@@ -213,6 +217,7 @@ func (c *Computer) ViolationCurveFinitePrefix(m, k int) ([]float64, error) {
 		return nil, fmt.Errorf("settlement: invalid m=%d k=%d", m, k)
 	}
 	cv := c.PrefixCurve(m, 0)
+	defer cv.Release()
 	if err := cv.Extend(k); err != nil {
 		return nil, err
 	}

@@ -30,6 +30,7 @@ func (c *Computer) ViolationCurveUpper(k, cap int) ([]float64, error) {
 		return nil, fmt.Errorf("settlement: invalid k=%d cap=%d", k, cap)
 	}
 	cv := c.UpperCurve(cap)
+	defer cv.Release()
 	if err := cv.Extend(k); err != nil {
 		return nil, err
 	}
