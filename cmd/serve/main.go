@@ -228,10 +228,9 @@ func run(logger *slog.Logger) error {
 	}
 	root.Handle("/", handler)
 	h := telemetry.MiddlewareWith(root, telemetry.MiddlewareConfig{
-		Metrics:    telemetry.NewHTTPMetrics(reg, "serve"),
-		Logger:     logger,
-		Recorder:   rec,
-		DebugSpans: lvl <= slog.LevelDebug,
+		Metrics:  telemetry.NewHTTPMetrics(reg, "serve"),
+		Logger:   logger,
+		Recorder: rec,
 	})
 
 	var wd *telemetry.Watchdog

@@ -17,7 +17,8 @@
 //
 // The same package carries the differential fuzz targets
 // (FuzzCharstringRoundTrip, FuzzMarginRecurrence, FuzzDPvsMC,
-// FuzzStreamScanners) that drive the identities at fuzzer-chosen points;
+// FuzzStreamScanners, FuzzBlockSampler, FuzzSnapshotDecode,
+// FuzzQueryPaths) that drive the identities at fuzzer-chosen points;
 // CI runs each for 30 seconds per push. See INVARIANTS.md for the
 // human-readable ledger and DESIGN.md §11 for the subsystem rationale.
 package conformance

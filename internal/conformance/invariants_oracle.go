@@ -11,7 +11,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"slices"
+	"strconv"
 	"testing"
 
 	"multihonest/internal/lattice"
@@ -26,7 +28,7 @@ func oracleInvariants() []Invariant {
 			Statement: "Oracle answers are byte-identical between a cache hit, " +
 				"a cold build, and the underlying settlement computer invoked " +
 				"directly at the canonicalized parameter point.",
-			Anchor: "oracle.Oracle.SettlementCurve / oracle.Canonicalize (internal/oracle/oracle.go)",
+			Anchor: "oracle.Oracle.ask / oracle.Canonicalize (internal/oracle/oracle.go)",
 			Check:  checkOracleHotEqualsCold,
 		},
 		{
@@ -45,7 +47,7 @@ func oracleInvariants() []Invariant {
 				"equal to a curve that never released it, for exact, " +
 				"pruned (τ > 0) and upper-bound chains, and so does the " +
 				"oracle, which releases after every extension.",
-			Anchor: "lattice.Curve.Release (internal/lattice/curve.go) + oracle extendLocked / depthLocked (internal/oracle/oracle.go)",
+			Anchor: "lattice.Curve.Release (internal/lattice/curve.go) + oracle.Oracle.extendLocked / depthLocked (internal/oracle/oracle.go)",
 			Check:  checkReadoutResidencyIdentity,
 		},
 		{
@@ -55,6 +57,15 @@ func oracleInvariants() []Invariant {
 				"bytes identical to a fresh cold compute at the same point.",
 			Anchor: "oracle.Cluster.forwardOrHedge (internal/oracle/cluster.go) + lattice.Curve's canonical capacity ladder",
 			Check:  checkFailoverAnswerIdentity,
+		},
+		{
+			Name: "get-batch-answer-identity",
+			Statement: "Random mixes of valid and invalid queries over every " +
+				"op, τ included, answer identically through the …Ctx methods, " +
+				"a GET and a batch slot — equal bits or equal error text — at " +
+				"1 and 4 batch workers, on cold and warm caches.",
+			Anchor: "oracle.Oracle.ask / answerLocked (internal/oracle/oracle.go) + oracle.BatchQuery.query (internal/oracle/batch.go)",
+			Check:  checkGetBatchAnswerIdentity,
 		},
 	}
 }
@@ -310,5 +321,169 @@ func checkFailoverAnswerIdentity(t *testing.T, r *rand.Rand) {
 	}
 	if !fallbacksSeen {
 		t.Fatal("no query exercised the degraded fallback path (all keys self-owned?)")
+	}
+}
+
+// The query-path identity checks send well-formed queries — exactly one
+// of ph and frac (a cell always frac) and every parameter the op reads,
+// any of them possibly out of range — through each door and compare the
+// answers as batch results: equal error texts, or equal depths and
+// bitwise-equal numbers.
+
+// numbers lists a result's values: the curve, then p, lower and upper.
+func numbers(r oracle.BatchResult) []float64 {
+	v := slices.Clone(r.Curve)
+	for _, p := range []*float64{r.P, r.Lower, r.Upper} {
+		if p != nil {
+			v = append(v, *p)
+		}
+	}
+	return v
+}
+
+func sameAnswer(a, b oracle.BatchResult) bool {
+	return a.Error == b.Error && a.Depth == b.Depth && slices.EqualFunc(numbers(a), numbers(b),
+		func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// phOf resolves q's ph as every door does: ph = frac·(1−α) from frac.
+func phOf(q oracle.BatchQuery) float64 {
+	if q.Frac != nil {
+		return *q.Frac * (1 - q.Alpha)
+	}
+	return *q.Ph
+}
+
+// ctxAsk asks q through its …Ctx method.
+func ctxAsk(o *oracle.Oracle, q oracle.BatchQuery) oracle.BatchResult {
+	ctx, ph := context.Background(), phOf(q)
+	var r oracle.BatchResult
+	var p, lo, hi float64
+	var err error
+	switch q.Op {
+	case "depth":
+		r.Depth, err = o.ConfirmationDepthCtx(ctx, q.Alpha, ph, q.Target, q.KMax)
+	case "curve":
+		r.Curve, err = o.SettlementCurveCtx(ctx, q.Alpha, ph, q.K)
+	case "failure":
+		p, err = o.SettlementFailureCtx(ctx, q.Alpha, ph, q.K)
+		r.P = &p
+	case "cell":
+		p, err = o.TableCellCtx(ctx, *q.Frac, q.K, q.Alpha)
+		r.P = &p
+	case "bracket":
+		lo, hi, err = o.SettlementBracketCtx(ctx, q.Alpha, ph, q.K, q.Tau)
+		r.Lower, r.Upper = &lo, &hi
+	}
+	if err != nil {
+		return oracle.BatchResult{Error: err.Error()}
+	}
+	return r
+}
+
+// getAsk asks q through GET /v1/<op> on h. Numbers are written in the
+// shortest form that parses back to the same float64, so the URL and the
+// JSON answer both carry exact bits; the body's error, depth, p, lower,
+// upper and curve fields are a batch result's. A 200 must also report
+// the canonical point the key snaps the query to.
+func getAsk(t *testing.T, h http.Handler, q oracle.BatchQuery) oracle.BatchResult {
+	t.Helper()
+	ff := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+	v := url.Values{"alpha": {ff(q.Alpha)}}
+	if q.Frac != nil {
+		v.Set("frac", ff(*q.Frac))
+	} else {
+		v.Set("ph", ff(*q.Ph))
+	}
+	if q.Op == "depth" {
+		v.Set("target", ff(q.Target))
+		v.Set("kmax", strconv.Itoa(q.KMax))
+	} else {
+		v.Set("k", strconv.Itoa(q.K))
+	}
+	if q.Op == "bracket" {
+		v.Set("tau", ff(q.Tau))
+	}
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/"+q.Op+"?"+v.Encode(), nil))
+	var res oracle.BatchResult
+	var point struct{ Alpha, Ph, Frac float64 }
+	if json.Unmarshal(rr.Body.Bytes(), &res) != nil || json.Unmarshal(rr.Body.Bytes(), &point) != nil ||
+		(rr.Code == http.StatusOK) != (res.Error == "") {
+		t.Fatalf("GET %s: status %d, body %q", v.Encode(), rr.Code, rr.Body)
+	}
+	if key, _, err := oracle.Canonicalize(q.Alpha, phOf(q), 0); rr.Code == http.StatusOK &&
+		(err != nil || point.Alpha != key.Alpha() || point.Ph != key.Ph() || point.Frac != key.HonestFraction()) {
+		t.Errorf("GET %s: reports the point %+v, its key %+v (err %v)", v.Encode(), point, key, err)
+	}
+	return res
+}
+
+// randomQuery draws a query over every op on a small grid of parameter
+// points, jittered within half a basis point so the key has to snap
+// them, and gives one in three a fault: an out-of-range k, kmax, target,
+// honest fraction or τ, a point outside the canonical domain, two
+// faults at once, or a depth target too deep to reach (the 422).
+func randomQuery(r *rand.Rand) oracle.BatchQuery {
+	ops := []string{"depth", "curve", "failure", "cell", "bracket"}
+	q := oracle.BatchQuery{Op: ops[r.Intn(len(ops))], K: 1 + r.Intn(120)}
+	q.Alpha = []float64{0.10, 0.20, 0.25, 0.30}[r.Intn(4)] + (r.Float64()-0.5)*1e-5
+	x := []float64{0.25, 0.5, 0.75, 1}[r.Intn(4)]
+	switch q.Op {
+	case "depth":
+		q.K, q.Target, q.KMax = 0, []float64{1e-3, 1e-6, 1e-9}[r.Intn(3)], 64<<r.Intn(3)
+	case "bracket":
+		q.Tau = []float64{0, 1e-30, 1e-12}[r.Intn(3)]
+	}
+	if r.Intn(3) == 0 {
+		switch r.Intn(6) {
+		case 0:
+			q.Alpha = []float64{0, 0.5, 0.72, -0.1}[r.Intn(4)]
+		case 1: // past the uniquely honest ceiling, or below zero
+			x = []float64{0.95, -0.1, 1.5}[r.Intn(3)]
+		case 2:
+			q.K = []int{0, -3, oracle.MaxQueryHorizon + 1}[r.Intn(3)]
+			q.KMax = []int{0, -3, oracle.MaxDepthKMax + 1}[r.Intn(3)]
+		case 3:
+			q.Target, q.Tau = []float64{0, 1, 2.5, -1e-3}[r.Intn(4)], -1
+		case 4: // unreachable for a depth search; a bad k for the rest
+			q.Target, q.K, q.KMax = 1e-12, 0, 2
+		case 5:
+			q.Alpha, q.K, q.KMax = 0.6, 0, 0
+		}
+	}
+	if q.Op == "cell" || r.Intn(2) == 0 {
+		q.Frac = &x
+	} else {
+		ph := x * (1 - q.Alpha)
+		q.Ph = &ph
+	}
+	return q
+}
+
+func checkGetBatchAnswerIdentity(t *testing.T, r *rand.Rand) {
+	qs := make([]oracle.BatchQuery, 48)
+	for i := range qs {
+		qs[i] = randomQuery(r)
+	}
+	for _, workers := range []int{1, 4} {
+		ctxO, batchO := oracle.New(0), oracle.New(0)
+		getH := oracle.NewServer(oracle.New(0), 0).Handler()
+		for _, cache := range []string{"cold", "warm"} {
+			batch, _, err := batchO.BatchCtx(context.Background(), qs, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range qs {
+				want := ctxAsk(ctxO, q)
+				for door, got := range map[string]oracle.BatchResult{"GET": getAsk(t, getH, q), "batch slot": batch[i]} {
+					if !sameAnswer(got, want) {
+						t.Errorf("%d workers, %s: %s query %+v: %s answers %q %d %v, …Ctx %q %d %v", workers, cache, q.Op, q,
+							door, got.Error, got.Depth, numbers(got), want.Error, want.Depth, numbers(want))
+					}
+				}
+			}
+			r.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
+		}
 	}
 }

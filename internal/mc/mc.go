@@ -100,13 +100,6 @@ func SettlementViolation(p charstring.Params, m, k, n int, seed int64, workers i
 		func() *settlementStream { return newSettlementStream(m, m+k) })
 }
 
-// ConsistentTiesUnsettled estimates the settlement failure certificate
-// under axiom A0′ at ph = 0 (the Theorem 2 regime): the window [s, s+k−1]
-// has no consecutive-Catalan UVP certificate.
-func ConsistentTiesUnsettled(epsilon float64, s, k, tail, n int, seed int64, workers int) Estimate {
-	return NoConsecutiveCatalan(epsilon, s, k, tail, n, seed, workers)
-}
-
 // CPViolationVerdict reports the Theorem 8 event: the string has a UVP-free
 // window of length ≥ k, so some fork may violate k-CP^slot.
 func CPViolationVerdict(k int, consistentTies bool) runner.Verdict {

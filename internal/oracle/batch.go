@@ -3,7 +3,6 @@ package oracle
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"multihonest/internal/runner"
 	"multihonest/internal/telemetry"
@@ -52,52 +51,40 @@ type BatchPlan struct {
 	MaxK    int `json:"max_k"`
 }
 
-// ph resolves the query's uniquely honest probability.
-func (q *BatchQuery) ph() (float64, error) {
-	switch {
-	case q.Op == "cell":
-		if q.Frac == nil {
-			return 0, fmt.Errorf("oracle: cell query requires frac")
-		}
-		return *q.Frac * (1 - q.Alpha), nil
-	case q.Ph != nil && q.Frac != nil:
-		return 0, fmt.Errorf("oracle: give ph or frac, not both")
-	case q.Ph != nil:
-		return *q.Ph, nil
-	case q.Frac != nil:
-		return *q.Frac * (1 - q.Alpha), nil
-	default:
-		return 0, fmt.Errorf("oracle: query requires ph or frac")
-	}
-}
-
-// validate runs the single-query checks of the query's op — the ones the
-// GET path runs — so an invalid query is rejected before its chain is
-// looked up and can neither create nor evict a cache entry.
-func (q *BatchQuery) validate() error {
-	switch q.Op {
+// query converts the batch element into the oracle's query, reporting
+// the first fault: the op's own checks (the GET path's validation), then
+// the resolution of ph — so an invalid query is rejected before its
+// chain is looked up and can neither create nor evict a cache entry.
+func (b *BatchQuery) query() (query, error) {
+	q := query{op: b.Op, alpha: b.Alpha, k: b.K, target: b.Target}
+	switch b.Op {
 	case "depth":
-		return validDepth(q.Target, q.KMax)
-	case "cell":
-		if q.Frac != nil { // a missing frac is ph's error
-			if err := validFrac(*q.Frac); err != nil {
-				return err
-			}
+		q.k = b.KMax
+	case "bracket":
+		q.tau = b.Tau // only bracket queries run on pruned chains
+	}
+	if b.Frac != nil {
+		q.frac = *b.Frac // a missing cell frac is ph's fault, not validation's
+	}
+	if err := q.validate(); err != nil {
+		return q, err
+	}
+	switch {
+	case b.Op == "cell":
+		if b.Frac == nil {
+			return q, fmt.Errorf("oracle: cell query requires frac")
 		}
-		return validHorizon(q.K)
-	case "curve", "failure", "bracket":
-		return validHorizon(q.K)
+		q.ph = q.frac * (1 - q.alpha)
+	case b.Ph != nil && b.Frac != nil:
+		return q, fmt.Errorf("oracle: give ph or frac, not both")
+	case b.Ph != nil:
+		q.ph = *b.Ph
+	case b.Frac != nil:
+		q.ph = q.frac * (1 - q.alpha)
+	default:
+		return q, fmt.Errorf("oracle: query requires ph or frac")
 	}
-	return fmt.Errorf("oracle: unknown op %q", q.Op)
-}
-
-// tau returns the pruning threshold of the chain the query reads (only
-// bracket queries run on pruned chains).
-func (q *BatchQuery) tau() float64 {
-	if q.Op == "bracket" {
-		return q.Tau
-	}
-	return 0
+	return q, nil
 }
 
 // MaxBatchCurvePoints bounds the aggregate number of per-horizon values a
@@ -141,26 +128,23 @@ func (o *Oracle) BatchCtx(ctx context.Context, queries []BatchQuery, workers int
 	}
 	groups := make(map[Key]*group)
 	var order []*group
-	for i, q := range queries {
-		out[i].Op = q.Op
-		if err := q.validate(); err != nil {
-			out[i].Error = err.Error()
-			continue
-		}
-		ph, err := q.ph()
-		if err != nil {
-			out[i].Error = err.Error()
-			continue
-		}
+	qs := make([]query, len(queries))
+	for i := range queries {
+		out[i].Op = queries[i].Op
+		q, err := queries[i].query()
 		// Planning probes many keys; per-query hit/miss attrs would only
 		// churn the root span's slots, so the lookup goes untraced here —
 		// the per-group spans below carry the batch's tree instead.
-		e, err := o.lookup(q.Alpha, ph, q.tau(), nil)
+		var e *entry
+		if err == nil {
+			e, err = o.lookup(q.alpha, q.ph, q.tau, nil)
+		}
 		if err != nil {
 			out[i].Error = err.Error()
 			continue
 		}
-		o.opCounter(q.Op).Add(1)
+		qs[i] = q
+		o.opCounter(q.op).Add(1)
 		g, ok := groups[e.key]
 		if !ok {
 			g = &group{e: e}
@@ -169,10 +153,10 @@ func (o *Oracle) BatchCtx(ctx context.Context, queries []BatchQuery, workers int
 		}
 		g.indices = append(g.indices, i)
 		// Depth queries drive their own upper-curve extension; every
-		// other op reads the main curve at K.
-		if q.Op != "depth" && q.K > g.maxK {
-			g.maxK = q.K
-			plan.MaxK = max(plan.MaxK, q.K)
+		// other op reads the main curve at k.
+		if q.op != "depth" && q.k > g.maxK {
+			g.maxK = q.k
+			plan.MaxK = max(plan.MaxK, q.k)
 		}
 	}
 	plan.Groups = len(order)
@@ -196,48 +180,30 @@ func (o *Oracle) BatchCtx(ctx context.Context, queries []BatchQuery, workers int
 			}
 		}
 		for _, i := range g.indices {
-			o.answerLocked(g.e, &queries[i], &out[i], tr)
+			var a answer
+			if err := o.answerLocked(g.e, &qs[i], &a, tr); err != nil {
+				out[i].Error = err.Error()
+				continue
+			}
+			out[i].fill(qs[i].op, &a)
 		}
 		return nil
 	})
 	return out, plan, err
 }
 
-// opCounter returns the per-op query counter of a validated query's op
-// ("failure" and "cell" share one). Both paths count a query once it has
-// passed validation and resolved its cache entry, so
-// oracle_queries_total{op} means the same for GET and batch queries.
-func (o *Oracle) opCounter(op string) *atomic.Int64 {
+// fill writes a successful answer into the result's fields for op.
+func (res *BatchResult) fill(op string, a *answer) {
 	switch op {
 	case "depth":
-		return &o.depthQ
+		res.Depth = a.depth
 	case "curve":
-		return &o.curveQ
-	case "bracket":
-		return &o.bracketQ
-	}
-	return &o.cellQ
-}
-
-// answerLocked serves one planned, validated query from the group's
-// entry; the caller holds the entry lock and has already extended the
-// main curve to the group's deepest horizon.
-func (o *Oracle) answerLocked(e *entry, q *BatchQuery, res *BatchResult, tr *telemetry.Trace) {
-	switch q.Op {
-	case "depth":
-		d, err := o.depthLocked(e, q.Target, q.KMax, tr)
-		if err != nil {
-			res.Error = err.Error()
-			return
-		}
-		res.Depth = d
-	case "curve":
-		res.Curve = e.curve.ValuesUpTo(q.K)
+		res.Curve = a.curve
 	case "failure", "cell":
-		p := e.curve.Lower(q.K)
+		p := a.p
 		res.P = &p
 	case "bracket":
-		lo, hi := e.curve.Bracket(q.K)
+		lo, hi := a.lower, a.upper
 		res.Lower, res.Upper = &lo, &hi
 	}
 }

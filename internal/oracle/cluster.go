@@ -56,21 +56,21 @@ type Cluster struct {
 	maxAttempts int
 	logf        func(format string, args ...any)
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	breakers map[string]*breaker
+	mu  sync.Mutex // guards rng
+	rng *rand.Rand
 
-	// perPeer holds each other replica's forwarding counters. The peer
-	// set is fixed by NewCluster, so the map is never written afterwards
-	// and is read without a lock; Stats sums it and Instrument exports it
-	// per peer.
-	perPeer    map[string]*peerCounters
+	// remote holds one record per other replica. The peer set is fixed
+	// by NewCluster, so the map is never written afterwards and is read
+	// without a lock; Stats sums it and Instrument exports it per peer.
+	remote     map[string]*remotePeer
 	fallbacks  atomic.Int64 // owner unreachable; answered locally
 	loopServes atomic.Int64 // forwarded requests answered locally
 }
 
-// peerCounters are the forwarding counters of one peer replica.
-type peerCounters struct {
+// remotePeer is one other replica: its circuit breaker and its
+// forwarding counters.
+type remotePeer struct {
+	brk      breaker
 	forwards atomic.Int64 // queries it owns, forwarded to it
 	retries  atomic.Int64 // extra forward attempts to it
 	hedges   atomic.Int64 // local computes raced against it
@@ -142,18 +142,16 @@ func NewCluster(srv *Server, cfg ClusterConfig) *Cluster {
 		maxAttempts: clusterMaxAttempts,
 		logf:        cfg.Logf,
 		rng:         rand.New(rand.NewSource(clusterSeed)),
-		breakers:    make(map[string]*breaker),
-		perPeer:     make(map[string]*peerCounters),
+		remote:      make(map[string]*remotePeer),
 	}
 	for _, p := range c.peers {
 		if p != c.self {
-			c.perPeer[p] = &peerCounters{}
-			c.breakers[p] = &breaker{
+			c.remote[p] = &remotePeer{brk: breaker{
 				threshold: clusterBreakerThreshold,
 				cooldown:  clusterBreakerCooldown,
 				logf:      cfg.Logf,
 				peer:      p,
-			}
+			}}
 		}
 	}
 	return c
@@ -180,18 +178,14 @@ func (c *Cluster) Stats() ClusterStats {
 		LocalFallbacks: c.fallbacks.Load(),
 		LoopServes:     c.loopServes.Load(),
 	}
-	for _, pc := range c.perPeer {
-		st.Forwards += pc.forwards.Load()
-		st.ForwardRetries += pc.retries.Load()
-		st.Hedges += pc.hedges.Load()
+	if len(c.remote) > 0 {
+		st.BreakerStates = make(map[string]string, len(c.remote))
 	}
-	if len(c.breakers) > 0 {
-		st.BreakerStates = make(map[string]string, len(c.breakers))
-		c.mu.Lock()
-		for p, b := range c.breakers {
-			st.BreakerStates[p] = b.stateName()
-		}
-		c.mu.Unlock()
+	for p, rp := range c.remote {
+		st.Forwards += rp.forwards.Load()
+		st.ForwardRetries += rp.retries.Load()
+		st.Hedges += rp.hedges.Load()
+		st.BreakerStates[p] = rp.brk.stateName()
 	}
 	return st
 }
@@ -207,29 +201,27 @@ func (c *Cluster) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	q, key, ok := routedQuery(r)
 	if !ok {
-		c.local.ServeHTTP(w, r)
+		c.local.ServeHTTP(w, r) // the Server's handler records the queue span
 		return
 	}
+	// Handling starts here for a routed query: its one queue span ends
+	// now, before any forward, hedge or local compute.
+	tr := traceOf(r)
 	if r.Header.Get(clusterForwardHeader) != "" {
 		// Already hopped once: answer here regardless of ownership, so a
 		// disagreeing peer map cannot loop.
 		c.loopServes.Add(1)
-		c.serveLocal(w, r, q)
+		c.srv.serveQuery(tr, w, &q)
 		return
 	}
 	owner := c.owner(key)
 	if owner == c.self {
-		c.serveLocal(w, r, q)
+		c.srv.serveQuery(tr, w, &q)
 		return
 	}
-	c.perPeer[owner].forwards.Add(1)
-	c.forwardOrHedge(w, r, q, owner)
-}
-
-// serveLocal answers a routed query on this replica from the parse that
-// routed it.
-func (c *Cluster) serveLocal(w http.ResponseWriter, r *http.Request, q getQuery) {
-	c.srv.serveQuery(r.Context(), traceOf(r), w, q)
+	rp := c.remote[owner]
+	rp.forwards.Add(1)
+	c.forwardOrHedge(w, r, tr, q, owner, rp)
 }
 
 // owner picks the replica for a chain key by highest-random-weight
@@ -274,18 +266,18 @@ func fnv1a[T string | []byte](h uint64, s T) uint64 {
 // serving, and returns it with its canonical chain key (τ = 0).
 // Malformed parameters return ok=false and are served locally, where
 // they earn their 400 without a network hop.
-func routedQuery(r *http.Request) (getQuery, Key, bool) {
+func routedQuery(r *http.Request) (query, Key, bool) {
 	op, ok := strings.CutPrefix(r.URL.Path, "/v1/")
 	if r.Method != http.MethodGet || !ok || !slices.Contains(getOps, op) {
-		return getQuery{}, Key{}, false
+		return query{}, Key{}, false
 	}
 	q, err := parseQuery(op, r.URL.Query())
 	if err != nil {
-		return getQuery{}, Key{}, false
+		return query{}, Key{}, false
 	}
 	key, _, err := Canonicalize(q.alpha, q.ph, 0)
 	if err != nil {
-		return getQuery{}, Key{}, false
+		return query{}, Key{}, false
 	}
 	return q, key, true
 }
@@ -312,8 +304,7 @@ func (b *bufferedResponse) Write(p []byte) (int, error) { return b.body.Write(p)
 // the hedged local compute as a hedge_local child — tagged with the peer
 // and which side won; hedge and breaker activity flags the trace for the
 // flight recorder's tail sampler.
-func (c *Cluster) forwardOrHedge(w http.ResponseWriter, r *http.Request, q getQuery, owner string) {
-	tr := telemetry.TraceFrom(r.Context())
+func (c *Cluster) forwardOrHedge(w http.ResponseWriter, r *http.Request, tr *telemetry.Trace, q query, owner string, rp *remotePeer) {
 	fwdSpan := tr.StartSpan("forward", tr.Root())
 	fwdSpan.SetAttr("peer", owner)
 	ctx, cancel := context.WithTimeout(r.Context(), c.fwdTimeout)
@@ -321,15 +312,11 @@ func (c *Cluster) forwardOrHedge(w http.ResponseWriter, r *http.Request, q getQu
 
 	// A breaker transition during this request marks the trace as
 	// interesting even when the request itself still succeeds.
-	brk := c.breakerFor(owner)
-	var trans0 int64
-	if brk != nil {
-		trans0 = brk.transitions.Load()
-	}
+	trans0 := rp.brk.transitions.Load()
 	fwdc := make(chan *bufferedResponse, 1)
 	go func() {
-		out := c.tryForward(ctx, r, owner, fwdSpan)
-		if brk != nil && brk.transitions.Load() != trans0 {
+		out := c.tryForward(ctx, r, tr, owner, rp, fwdSpan)
+		if rp.brk.transitions.Load() != trans0 {
 			tr.SetFlag(telemetry.FlagBreaker)
 		}
 		fwdc <- out
@@ -360,19 +347,19 @@ func (c *Cluster) forwardOrHedge(w http.ResponseWriter, r *http.Request, q getQu
 			if !hedging {
 				fwdSpan.SetAttr("winner", "local_fallback")
 				fwdSpan.End()
-				c.serveLocal(w, r, q)
+				c.srv.serveQuery(tr, w, &q)
 				return
 			}
 			fwdc = nil
 		case <-hedgeTimer:
 			hedging = true
-			c.perPeer[owner].hedges.Add(1)
+			rp.hedges.Add(1)
 			tr.SetFlag(telemetry.FlagHedged)
 			hedgeTimer = nil
 			go func() {
 				hsp := tr.StartSpan("hedge_local", fwdSpan)
 				br := newBufferedResponse()
-				c.srv.serveQuery(context.WithoutCancel(r.Context()), traceOf(r), br, q)
+				c.srv.serveQuery(tr, br, &q)
 				hsp.End() // meaningful even if the trace sealed meanwhile
 				localc <- br
 			}()
@@ -398,19 +385,18 @@ func writeBuffered(w http.ResponseWriter, b *bufferedResponse) {
 // failed or the breaker refused. Each attempt is a forward_attempt span
 // under fwdSpan tagged with its outcome, so a retried forward reads as a
 // tree, not a mystery gap.
-func (c *Cluster) tryForward(ctx context.Context, r *http.Request, owner string, fwdSpan telemetry.SpanRef) *bufferedResponse {
-	tr := telemetry.TraceFrom(r.Context())
-	br := c.breakerFor(owner)
+func (c *Cluster) tryForward(ctx context.Context, r *http.Request, tr *telemetry.Trace, owner string, rp *remotePeer, fwdSpan telemetry.SpanRef) *bufferedResponse {
+	br := &rp.brk
 	for attempt := 0; attempt < c.maxAttempts; attempt++ {
 		if ctx.Err() != nil {
 			return nil
 		}
-		if br != nil && !br.allow() {
+		if !br.allow() {
 			fwdSpan.SetAttr("breaker", "refused")
 			return nil
 		}
 		if attempt > 0 {
-			c.perPeer[owner].retries.Add(1)
+			rp.retries.Add(1)
 			if !c.backoff(ctx, attempt) {
 				return nil
 			}
@@ -430,9 +416,7 @@ func (c *Cluster) tryForward(ctx context.Context, r *http.Request, owner string,
 		if err != nil {
 			asp.SetAttr("outcome", "error")
 			asp.End()
-			if br != nil {
-				br.failure()
-			}
+			br.failure()
 			c.logf("cluster: forward %s to %s attempt %d: %v", r.URL.Path, owner, attempt+1, err)
 			continue
 		}
@@ -440,9 +424,7 @@ func (c *Cluster) tryForward(ctx context.Context, r *http.Request, owner string,
 			resp.Body.Close()
 			asp.SetAttr("outcome", "status_5xx")
 			asp.End()
-			if br != nil {
-				br.failure()
-			}
+			br.failure()
 			c.logf("cluster: forward %s to %s attempt %d: status %d", r.URL.Path, owner, attempt+1, resp.StatusCode)
 			continue
 		}
@@ -454,16 +436,12 @@ func (c *Cluster) tryForward(ctx context.Context, r *http.Request, owner string,
 		if err != nil {
 			asp.SetAttr("outcome", "body_error")
 			asp.End()
-			if br != nil {
-				br.failure()
-			}
+			br.failure()
 			continue
 		}
 		asp.SetAttr("outcome", "ok")
 		asp.End()
-		if br != nil {
-			br.success()
-		}
+		br.success()
 		return out
 	}
 	return nil
@@ -489,12 +467,6 @@ func (c *Cluster) backoff(ctx context.Context, attempt int) bool {
 	}
 }
 
-func (c *Cluster) breakerFor(peer string) *breaker {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.breakers[peer]
-}
-
 // breaker is a per-peer circuit breaker: closed (forwarding), open
 // (peer presumed dead; all forwards skipped), half-open (one probe in
 // flight after the cooldown).
@@ -506,7 +478,7 @@ type breaker struct {
 	logf      func(string, ...any)
 
 	failures int
-	state    int // 0 closed, 1 open, 2 half-open
+	state    int // breakerClosed, breakerHalfOpen or breakerOpen
 	openedAt time.Time
 	now      func() time.Time // test hook; nil = time.Now
 
@@ -515,23 +487,19 @@ type breaker struct {
 	// breaker move.
 	transitions atomic.Int64
 
-	// stateG exports the state for scraping as 0 closed, 1 half-open,
-	// 2 open (larger = less available); nil when uninstrumented.
+	// stateG exports the state for scraping; nil when uninstrumented.
 	stateG *telemetry.Gauge
 }
 
-// exportState mirrors a state transition into the telemetry gauge,
-// remapping the internal encoding to the exported larger-is-worse one.
-func (b *breaker) exportState() {
-	switch b.state {
-	case 1:
-		b.stateG.Set(2) // open
-	case 2:
-		b.stateG.Set(1) // half-open
-	default:
-		b.stateG.Set(0) // closed
-	}
-}
+// The breaker states, numbered as cluster_breaker_state exports them:
+// larger is less available.
+const (
+	breakerClosed = iota
+	breakerHalfOpen
+	breakerOpen
+)
+
+var breakerStateNames = [...]string{"closed", "half-open", "open"}
 
 func (b *breaker) clock() time.Time {
 	if b.now != nil {
@@ -546,13 +514,13 @@ func (b *breaker) allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
-	case 0:
+	case breakerClosed:
 		return true
-	case 1:
+	case breakerOpen:
 		if b.clock().Sub(b.openedAt) >= b.cooldown {
-			b.state = 2
+			b.state = breakerHalfOpen
 			b.transitions.Add(1)
-			b.exportState()
+			b.stateG.Set(breakerHalfOpen)
 			b.logf("cluster: breaker for %s half-open, probing", b.peer)
 			return true
 		}
@@ -565,29 +533,29 @@ func (b *breaker) allow() bool {
 func (b *breaker) success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state != 0 {
+	if b.state != breakerClosed {
 		b.transitions.Add(1)
 		b.logf("cluster: breaker for %s closed", b.peer)
 	}
-	b.state, b.failures = 0, 0
-	b.exportState()
+	b.state, b.failures = breakerClosed, 0
+	b.stateG.Set(breakerClosed)
 }
 
 func (b *breaker) failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
-	case 2: // failed probe: back to open, restart the cooldown
-		b.state, b.openedAt = 1, b.clock()
+	case breakerHalfOpen: // failed probe: back to open, restart the cooldown
+		b.state, b.openedAt = breakerOpen, b.clock()
 		b.transitions.Add(1)
-		b.exportState()
+		b.stateG.Set(breakerOpen)
 		b.logf("cluster: breaker for %s re-opened (probe failed)", b.peer)
-	case 0:
+	case breakerClosed:
 		b.failures++
 		if b.failures >= b.threshold {
-			b.state, b.openedAt = 1, b.clock()
+			b.state, b.openedAt = breakerOpen, b.clock()
 			b.transitions.Add(1)
-			b.exportState()
+			b.stateG.Set(breakerOpen)
 			b.logf("cluster: breaker for %s opened after %d consecutive failures", b.peer, b.failures)
 		}
 	}
@@ -596,12 +564,5 @@ func (b *breaker) failure() {
 func (b *breaker) stateName() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case 1:
-		return "open"
-	case 2:
-		return "half-open"
-	default:
-		return "closed"
-	}
+	return breakerStateNames[b.state]
 }

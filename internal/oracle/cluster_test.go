@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"multihonest/internal/faultfs"
+	"multihonest/internal/telemetry"
 )
 
 // replicaSet spins up n replicas, each a full Oracle+Server+Cluster over
@@ -271,8 +272,8 @@ func TestClusterFailover(t *testing.T) {
 	rs := newReplicaSet(t, 2, func(i int, c *Cluster) {
 		c.fwdTimeout = time.Second
 		c.maxAttempts = 2
-		for _, b := range c.breakers {
-			b.threshold = 2
+		for _, rp := range c.remote {
+			rp.brk.threshold = 2
 		}
 	})
 
@@ -344,7 +345,7 @@ func TestClusterShippedPolicy(t *testing.T) {
 		}),
 	})
 	var clock atomic.Int64 // nanoseconds on the breaker's clock
-	brk := c.breakers[peer]
+	brk := &c.remote[peer].brk
 	brk.now = func() time.Time { return time.Unix(0, clock.Load()) }
 	cold := NewServer(New(0), 1).Handler()
 
@@ -522,6 +523,67 @@ func TestClusterLoopPrevention(t *testing.T) {
 	}
 	if st.Forwards != 0 {
 		t.Fatalf("loop-marked request was re-forwarded: %+v", st)
+	}
+}
+
+// TestClusterQueueSpanOnce: a hedged query and a local-fallback query
+// each record exactly one queue span, and it ends before the forward
+// span starts, so the trace's phases add up to its elapsed time instead
+// of counting the forward's wait a second time as queueing.
+func TestClusterQueueSpanOnce(t *testing.T) {
+	const peer = "http://peer:2"
+	c := failingCluster(t, New(0))
+	for _, tc := range []struct {
+		name string
+		k    int // failingCluster fails k = 20 at once and stalls the rest
+		flag telemetry.Flag
+	}{
+		{"fallback", 20, 0},
+		{"hedged", 40, telemetry.FlagHedged},
+	} {
+		url := ""
+		for bp := 1000; bp < 5000 && url == ""; bp++ {
+			u := fmt.Sprintf("/v1/cell?alpha=%g&frac=0.5&k=%d", float64(bp)/1e4, tc.k)
+			if _, key, ok := routedQuery(httptest.NewRequest(http.MethodGet, u, nil)); ok && c.owner(key) == peer {
+				url = u
+			}
+		}
+		if url == "" {
+			t.Fatal("no query owned by the peer")
+		}
+		fallbacks := c.Stats().LocalFallbacks
+		tr := telemetry.NewTrace("")
+		root := tr.StartSpan("request", telemetry.SpanRef{})
+		req := httptest.NewRequest(http.MethodGet, url, nil)
+		rr := httptest.NewRecorder()
+		c.ServeHTTP(rr, req.WithContext(telemetry.WithTrace(req.Context(), tr)))
+		root.End()
+		tr.Finish()
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", tc.name, rr.Code)
+		}
+		if tc.flag != 0 && !tr.HasFlag(tc.flag) {
+			t.Fatalf("%s: query was not hedged", tc.name)
+		}
+		if tc.flag == 0 && c.Stats().LocalFallbacks == fallbacks {
+			t.Fatalf("%s: query did not fall back locally", tc.name)
+		}
+		var queue, forward []telemetry.SpanSnapshot
+		for _, sp := range tr.Snapshot().Spans {
+			switch sp.Name {
+			case "queue":
+				queue = append(queue, sp)
+			case "forward":
+				forward = append(forward, sp)
+			}
+		}
+		if len(queue) != 1 || len(forward) != 1 {
+			t.Fatalf("%s: %d queue and %d forward spans, want 1 of each", tc.name, len(queue), len(forward))
+		}
+		if end := queue[0].StartNS + queue[0].DurNS; end > forward[0].StartNS {
+			t.Errorf("%s: queue span ends at %v, after the forward starts at %v",
+				tc.name, time.Duration(end), time.Duration(forward[0].StartNS))
+		}
 	}
 }
 

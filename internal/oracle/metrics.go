@@ -84,12 +84,10 @@ func (c *Cluster) Instrument(reg *telemetry.Registry) {
 	reg.CounterFunc("cluster_loop_serves_total", "Forwarded requests answered locally (loop prevention).", func() float64 {
 		return float64(c.loopServes.Load())
 	})
-	for p, pc := range c.perPeer {
-		fw.Func(func() float64 { return float64(pc.forwards.Load()) }, p)
-		rt.Func(func() float64 { return float64(pc.retries.Load()) }, p)
-		hg.Func(func() float64 { return float64(pc.hedges.Load()) }, p)
-		if b := c.breakers[p]; b != nil {
-			b.stateG = bs.With(p) // registers the series at its closed (0) state
-		}
+	for p, rp := range c.remote {
+		fw.Func(func() float64 { return float64(rp.forwards.Load()) }, p)
+		rt.Func(func() float64 { return float64(rp.retries.Load()) }, p)
+		hg.Func(func() float64 { return float64(rp.hedges.Load()) }, p)
+		rp.brk.stateG = bs.With(p) // registers the series at its closed (0) state
 	}
 }

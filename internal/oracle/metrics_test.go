@@ -274,7 +274,7 @@ func TestClusterInstrumentRegistersPerPeer(t *testing.T) {
 	}
 
 	// Exercise a breaker transition and re-scrape.
-	br := c.breakerFor("http://b:2")
+	br := &c.remote["http://b:2"].brk
 	for i := 0; i < 10; i++ {
 		br.failure()
 	}
@@ -331,7 +331,7 @@ func failingCluster(t *testing.T, o *Oracle) *Cluster {
 	c.hedgeAfter = 50 * time.Millisecond
 	c.retryBase, c.retryCap = time.Millisecond, time.Millisecond
 	c.maxAttempts = 2
-	c.breakers["http://peer:2"].threshold = 1 << 20
+	c.remote["http://peer:2"].brk.threshold = 1 << 20
 	return c
 }
 

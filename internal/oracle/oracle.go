@@ -385,32 +385,117 @@ func (o *Oracle) recordWork(e *entry, prev, k int, start time.Time, tr *telemetr
 	}
 }
 
-// validHorizon guards every main-curve horizon against the service bound.
-func validHorizon(k int) error {
-	if k < 1 || k > MaxQueryHorizon {
-		return fmt.Errorf("oracle: k = %d outside [1, %d]", k, MaxQueryHorizon)
+// query is one oracle query, whichever door it came in by: a GET route
+// (parseQuery), a batch slot (BatchQuery.query) or one of the …Ctx
+// methods. ph is already resolved (ph = frac·(1−α) when the query gave
+// frac); frac is read only by cell, whose validation bounds it.
+type query struct {
+	op              string // depth, curve, failure, cell or bracket
+	alpha, ph, frac float64
+	k               int // the horizon, or kmax for depth
+	target, tau     float64
+}
+
+// validate runs the checks of the query's op before it reaches the
+// cache, so an invalid query can neither create nor evict an entry. The
+// horizon bound is the service's memory bound, kmax its CPU bound; the
+// positive-form float checks also reject NaN.
+func (q *query) validate() error {
+	switch q.op {
+	case "depth":
+		if !(q.target > 0 && q.target < 1) {
+			return fmt.Errorf("oracle: target %v outside (0,1)", q.target)
+		}
+		if q.k < 1 || q.k > MaxDepthKMax {
+			return fmt.Errorf("oracle: kmax %d outside [1, %d]", q.k, MaxDepthKMax)
+		}
+		return nil
+	case "cell":
+		if !(q.frac >= 0 && q.frac <= 1) {
+			return fmt.Errorf("oracle: honest fraction %v outside [0, 1]", q.frac)
+		}
+	case "curve", "failure", "bracket":
+	default:
+		return fmt.Errorf("oracle: unknown op %q", q.op)
+	}
+	if q.k < 1 || q.k > MaxQueryHorizon {
+		return fmt.Errorf("oracle: k = %d outside [1, %d]", q.k, MaxQueryHorizon)
 	}
 	return nil
 }
 
-// validFrac guards a Table-1 cell's honest fraction.
-func validFrac(frac float64) error {
-	if !(frac >= 0 && frac <= 1) { // positive form also rejects NaN
-		return fmt.Errorf("oracle: honest fraction %v outside [0, 1]", frac)
-	}
-	return nil
+// answer is one query's result, read under its entry's lock: depth for
+// depth, p for failure and cell, [lower, upper] for bracket, curve for
+// curve. key is the entry it was read from — the canonical point the
+// oracle actually computed at.
+type answer struct {
+	key          Key
+	depth        int
+	p            float64
+	lower, upper float64
+	curve        []float64
 }
 
-// validDepth guards a confirmation-depth search's target and kmax; the
-// GET and batch paths both run it before touching the cache.
-func validDepth(target float64, kmax int) error {
-	if !(target > 0 && target < 1) { // positive form also rejects NaN
-		return fmt.Errorf("oracle: target %v outside (0,1)", target)
+// ask answers one query: validate, look up its entry, count it, take
+// the entry lock, extend the main curve to the query's horizon (a depth
+// query drives its own upper-bound chain instead) and read the answer.
+// DP and lock-wait time are recorded as spans of tr.
+func (o *Oracle) ask(q *query, tr *telemetry.Trace) (answer, error) {
+	if err := q.validate(); err != nil {
+		return answer{}, err
 	}
-	if kmax < 1 || kmax > MaxDepthKMax {
-		return fmt.Errorf("oracle: kmax %d outside [1, %d]", kmax, MaxDepthKMax)
+	e, err := o.lookup(q.alpha, q.ph, q.tau, tr)
+	if err != nil {
+		return answer{}, err
 	}
-	return nil
+	o.opCounter(q.op).Add(1)
+	o.lockEntry(e, tr)
+	defer e.mu.Unlock()
+	if q.op != "depth" {
+		if err := o.extendLocked(e, q.k, tr); err != nil {
+			return answer{}, err
+		}
+	}
+	a := answer{key: e.key}
+	if err := o.answerLocked(e, q, &a, tr); err != nil {
+		return answer{}, err
+	}
+	return a, nil
+}
+
+// opCounter returns the per-op query counter of a validated query's op
+// ("failure" and "cell" share one). Every path counts a query once it
+// has passed validation and resolved its cache entry, so
+// oracle_queries_total{op} means the same for GET and batch queries.
+func (o *Oracle) opCounter(op string) *atomic.Int64 {
+	switch op {
+	case "depth":
+		return &o.depthQ
+	case "curve":
+		return &o.curveQ
+	case "bracket":
+		return &o.bracketQ
+	}
+	return &o.cellQ
+}
+
+// answerLocked reads one validated query's answer from its entry; the
+// caller holds the entry lock and, unless the query is a depth search,
+// has extended the main curve to at least the query's horizon. It is the
+// one readout of ask and the batch executor.
+func (o *Oracle) answerLocked(e *entry, q *query, a *answer, tr *telemetry.Trace) error {
+	var err error
+	switch q.op {
+	case "depth":
+		a.depth, err = o.depthLocked(e, q.target, q.k, tr)
+	case "curve":
+		a.curve = e.curve.ValuesUpTo(q.k)
+	case "failure", "cell":
+		a.p = e.curve.Lower(q.k)
+	case "bracket":
+		a.lower, a.upper = e.curve.Bracket(q.k)
+	}
+	return err
 }
 
 // SettlementCurveCtx returns the exact violation probability for every
@@ -418,52 +503,24 @@ func validDepth(target float64, kmax int) error {
 // served from the cache. DP and lock-wait time are recorded as spans of
 // the request trace carried by ctx (if any).
 func (o *Oracle) SettlementCurveCtx(ctx context.Context, alpha, ph float64, k int) ([]float64, error) {
-	if err := validHorizon(k); err != nil {
-		return nil, err
-	}
-	tr := telemetry.TraceFrom(ctx)
-	e, err := o.lookup(alpha, ph, 0, tr)
-	if err != nil {
-		return nil, err
-	}
-	o.curveQ.Add(1)
-	o.lockEntry(e, tr)
-	defer e.mu.Unlock()
-	if err := o.extendLocked(e, k, tr); err != nil {
-		return nil, err
-	}
-	return e.curve.ValuesUpTo(k), nil
+	a, err := o.ask(&query{op: "curve", alpha: alpha, ph: ph, k: k}, telemetry.TraceFrom(ctx))
+	return a.curve, err
 }
 
 // SettlementFailureCtx returns the exact violation probability at
 // horizon k — the Table 1 quantity, served from the cache and traced
 // through ctx.
 func (o *Oracle) SettlementFailureCtx(ctx context.Context, alpha, ph float64, k int) (float64, error) {
-	if err := validHorizon(k); err != nil {
-		return 0, err
-	}
-	tr := telemetry.TraceFrom(ctx)
-	e, err := o.lookup(alpha, ph, 0, tr)
-	if err != nil {
-		return 0, err
-	}
-	o.cellQ.Add(1)
-	o.lockEntry(e, tr)
-	defer e.mu.Unlock()
-	if err := o.extendLocked(e, k, tr); err != nil {
-		return 0, err
-	}
-	return e.curve.Lower(k), nil
+	a, err := o.ask(&query{op: "failure", alpha: alpha, ph: ph, k: k}, telemetry.TraceFrom(ctx))
+	return a.p, err
 }
 
 // TableCellCtx answers a Table-1 cell query in the table's native
 // coordinates — honest fraction Pr[h]/(1−α), horizon k, column α —
 // traced through ctx.
 func (o *Oracle) TableCellCtx(ctx context.Context, frac float64, k int, alpha float64) (float64, error) {
-	if err := validFrac(frac); err != nil {
-		return 0, err
-	}
-	return o.SettlementFailureCtx(ctx, alpha, frac*(1-alpha), k)
+	a, err := o.ask(&query{op: "cell", alpha: alpha, ph: frac * (1 - alpha), frac: frac, k: k}, telemetry.TraceFrom(ctx))
+	return a.p, err
 }
 
 // SettlementBracketCtx returns the rigorous bracket [lower, upper] at
@@ -471,22 +528,8 @@ func (o *Oracle) TableCellCtx(ctx context.Context, frac float64, k int, alpha fl
 // bracket to the exact value), traced through ctx. Brackets at different
 // τ are different chains and cache under different keys.
 func (o *Oracle) SettlementBracketCtx(ctx context.Context, alpha, ph float64, k int, tau float64) (lower, upper float64, err error) {
-	if err := validHorizon(k); err != nil {
-		return 0, 0, err
-	}
-	tr := telemetry.TraceFrom(ctx)
-	e, err := o.lookup(alpha, ph, tau, tr)
-	if err != nil {
-		return 0, 0, err
-	}
-	o.bracketQ.Add(1)
-	o.lockEntry(e, tr)
-	defer e.mu.Unlock()
-	if err := o.extendLocked(e, k, tr); err != nil {
-		return 0, 0, err
-	}
-	lower, upper = e.curve.Bracket(k)
-	return lower, upper, nil
+	a, err := o.ask(&query{op: "bracket", alpha: alpha, ph: ph, k: k, tau: tau}, telemetry.TraceFrom(ctx))
+	return a.lower, a.upper, err
 }
 
 // ConfirmationDepthCtx returns the smallest depth k ≤ kmax whose
@@ -496,24 +539,13 @@ func (o *Oracle) SettlementBracketCtx(ctx context.Context, alpha, ph float64, k 
 // chain's readouts without lattice work, and only a query that searches
 // deeper pays for a sweep. Traced through ctx.
 func (o *Oracle) ConfirmationDepthCtx(ctx context.Context, alpha, ph, target float64, kmax int) (int, error) {
-	if err := validDepth(target, kmax); err != nil {
-		return 0, err
-	}
-	tr := telemetry.TraceFrom(ctx)
-	e, err := o.lookup(alpha, ph, 0, tr)
-	if err != nil {
-		return 0, err
-	}
-	o.depthQ.Add(1)
-	o.lockEntry(e, tr)
-	defer e.mu.Unlock()
-	return o.depthLocked(e, target, kmax, tr)
+	a, err := o.ask(&query{op: "depth", alpha: alpha, ph: ph, target: target, k: kmax}, telemetry.TraceFrom(ctx))
+	return a.depth, err
 }
 
-// depthLocked runs the doubling search under the entry lock for a query
-// that passed validDepth; it is shared by ConfirmationDepthCtx and the
-// batch executor. The search extends the upper-bound chain step after
-// step on one engine, which is released once the search is over.
+// depthLocked is answerLocked's depth readout: the doubling search,
+// under the entry lock. The search extends the upper-bound chain step
+// after step on one engine, which is released once the search is over.
 func (o *Oracle) depthLocked(e *entry, target float64, kmax int, tr *telemetry.Trace) (int, error) {
 	cap := e.comp.CapForTarget(target)
 	var grown *lattice.Curve // the chain this search ran steps on, if any

@@ -39,13 +39,6 @@ func mustParams(t *testing.T, alpha, ph float64) charstring.Params {
 	return p
 }
 
-// closeRel is the lattice rebuild-equality contract: equal within 1e-13
-// relative (values from engines with different staged caps agree to this
-// bound; see lattice.TestCurveRebuild).
-func closeRel(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-13*math.Max(math.Abs(b), 1e-300)
-}
-
 // testPoints is a small grid of canonical (α, frac) points (all exactly on
 // the basis-point grid, so the oracle computes at the literal parameters).
 var testPoints = []struct{ alpha, frac float64 }{
@@ -197,13 +190,11 @@ func TestOracleSingleflight(t *testing.T) {
 }
 
 // TestOracleExtendUnderContention: goroutines racing to extend one cached
-// curve to interleaved depths always read values matching a fresh full
-// build, and the chain is cold-built exactly once. Staged extension
-// rebuilds the horizon-dependent chain at whatever doubled cap the race
-// reached, so the comparison is the lattice's own rebuild contract —
-// equality within 1e-13 relative (TestCurveRebuild); byte-identity at
-// matching caps is pinned separately in TestOracleMatchesAnalyzer and
-// TestOracleServeEquivalence.
+// curve to interleaved depths always read values bitwise equal to a
+// fresh full build, and the chain is cold-built exactly once. Staged
+// extension replays every step on the canonical capacity ladder, so
+// whatever horizon the race reached first, each value is the one a
+// single build computes.
 func TestOracleExtendUnderContention(t *testing.T) {
 	o := New(0)
 	const (
@@ -229,7 +220,7 @@ func TestOracleExtendUnderContention(t *testing.T) {
 					return
 				}
 				for j := range got {
-					if !closeRel(got[j], fresh[j]) {
+					if got[j] != fresh[j] {
 						errc <- fmt.Errorf("curve[%d] = %.17g under contention, fresh build %.17g", j, got[j], fresh[j])
 						return
 					}
@@ -248,7 +239,7 @@ func TestOracleExtendUnderContention(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := range final {
-		if !closeRel(final[j], fresh[j]) {
+		if final[j] != fresh[j] {
 			t.Fatalf("final[%d] = %.17g, fresh build %.17g", j, final[j], fresh[j])
 		}
 	}
@@ -376,6 +367,42 @@ func TestOracleBatchInvalidLeavesCache(t *testing.T) {
 	if after.Entries != before.Entries || after.Misses != before.Misses || after.Evictions != before.Evictions {
 		t.Fatalf("invalid batch touched the cache: entries/misses/evictions %d/%d/%d → %d/%d/%d",
 			before.Entries, before.Misses, before.Evictions, after.Entries, after.Misses, after.Evictions)
+	}
+}
+
+// TestOracleBatchOpFaultFirst: a batch slot with both a fault of its op
+// (unknown op, bad k, kmax, target or honest fraction) and a fault in
+// how it gives ph (neither ph nor frac, both, or a cell without frac)
+// reports the op fault — the error the GET path's validation would give.
+func TestOracleBatchOpFaultFirst(t *testing.T) {
+	o := New(4)
+	ph, frac, tooBig := 0.35, 0.5, 1.5
+	queries := []BatchQuery{
+		{Op: "curve", Alpha: 0.30, K: 0},
+		{Op: "bracket", Alpha: 0.30, Ph: &ph, Frac: &frac, K: MaxQueryHorizon + 1},
+		{Op: "cell", Alpha: 0.30, Ph: &ph, K: 0},
+		{Op: "cell", Alpha: 0.30, Ph: &ph, Frac: &tooBig, K: 60},
+		{Op: "depth", Alpha: 0.30, Target: 2, KMax: 100},
+		{Op: "depth", Alpha: 0.30, Ph: &ph, Frac: &frac, Target: 1e-6, KMax: 0},
+		{Op: "nope", Alpha: 0.30, K: 10},
+	}
+	want := []string{
+		"oracle: k = 0 outside [1, 4096]",
+		"oracle: k = 4097 outside [1, 4096]",
+		"oracle: k = 0 outside [1, 4096]",
+		"oracle: honest fraction 1.5 outside [0, 1]",
+		"oracle: target 2 outside (0,1)",
+		"oracle: kmax 0 outside [1, 1048576]",
+		`oracle: unknown op "nope"`,
+	}
+	results, _, err := o.BatchCtx(ctx, queries, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Error != want[i] {
+			t.Errorf("query %d (%s): error %q, want %q", i, queries[i].Op, r.Error, want[i])
+		}
 	}
 }
 

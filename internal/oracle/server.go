@@ -2,7 +2,6 @@ package oracle
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -135,21 +134,13 @@ func traceOf(r *http.Request) *telemetry.Trace {
 // getOps are the ops of the key-addressable GET routes, /v1/<op>.
 var getOps = []string{"depth", "curve", "failure", "cell", "bracket"}
 
-// getQuery is one parsed GET query.
-type getQuery struct {
-	op              string  // one of getOps
-	alpha, ph, frac float64 // frac stays 0 when the query gave ph
-	k               int     // the horizon, or kmax for depth
-	target, tau     float64
-}
-
 // parseQuery reads the parameters of a GET query to /v1/<op> from one
 // parse of its URL query, in the order the route table lists them:
 // alpha, then exactly one of ph and frac (ph = frac·(1−α); a Table-1
 // cell always reads frac), then the op's own. The error names the first
 // missing or malformed parameter.
-func parseQuery(op string, v url.Values) (getQuery, error) {
-	q := getQuery{op: op}
+func parseQuery(op string, v url.Values) (query, error) {
+	q := query{op: op}
 	r := paramReader{v: v}
 	q.alpha = r.float("alpha")
 	hasPh, hasFrac := v.Has("ph"), v.Has("frac")
@@ -219,14 +210,6 @@ type keyFields struct {
 	Frac  float64 `json:"frac"`
 }
 
-func canonicalFields(alpha, ph float64) keyFields {
-	key, _, err := Canonicalize(alpha, ph, 0)
-	if err != nil {
-		return keyFields{Alpha: alpha, Ph: ph}
-	}
-	return keyFields{Alpha: key.Alpha(), Ph: key.Ph(), Frac: key.HonestFraction()}
-}
-
 // handleQuery serves the GET route of every op: one parse of the query,
 // then serveQuery.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -236,56 +219,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err)
 		return
 	}
-	s.serveQuery(r.Context(), tr, w, q)
+	s.serveQuery(tr, w, &q)
 }
 
-// serveQuery answers an already-parsed GET query: one oracle call, one
-// encode. The cluster tier calls it with the query it parsed to route.
-func (s *Server) serveQuery(ctx context.Context, tr *telemetry.Trace, w http.ResponseWriter, q getQuery) {
-	kf := canonicalFields(q.alpha, q.ph)
-	var answer any
-	var err error
-	switch op := q.op; op {
-	case "depth":
-		var depth int
-		depth, err = s.o.ConfirmationDepthCtx(ctx, q.alpha, q.ph, q.target, q.k)
-		answer = struct {
-			keyFields
-			Target float64 `json:"target"`
-			KMax   int     `json:"kmax"`
-			Depth  int     `json:"depth"`
-		}{kf, q.target, q.k, depth}
-	case "curve":
-		var curve []float64
-		curve, err = s.o.SettlementCurveCtx(ctx, q.alpha, q.ph, q.k)
-		answer = struct {
-			keyFields
-			K     int       `json:"k"`
-			Curve []float64 `json:"curve"`
-		}{kf, q.k, curve}
-	case "failure", "cell":
-		var p float64
-		if op == "cell" {
-			p, err = s.o.TableCellCtx(ctx, q.frac, q.k, q.alpha)
-		} else {
-			p, err = s.o.SettlementFailureCtx(ctx, q.alpha, q.ph, q.k)
-		}
-		answer = struct {
-			keyFields
-			K int     `json:"k"`
-			P float64 `json:"p"`
-		}{kf, q.k, p}
-	case "bracket":
-		var lo, hi float64
-		lo, hi, err = s.o.SettlementBracketCtx(ctx, q.alpha, q.ph, q.k, q.tau)
-		answer = struct {
-			keyFields
-			K     int     `json:"k"`
-			Tau   float64 `json:"tau"`
-			Lower float64 `json:"lower"`
-			Upper float64 `json:"upper"`
-		}{kf, q.k, q.tau, lo, hi}
-	}
+// serveQuery answers an already-parsed GET query: one oracle ask, one
+// encode, with the canonical fields read off the key of the entry that
+// answered. The cluster tier calls it with the query it parsed to route.
+func (s *Server) serveQuery(tr *telemetry.Trace, w http.ResponseWriter, q *query) {
+	a, err := s.o.ask(q, tr)
 	switch {
 	case errors.Is(err, settlement.ErrTargetUnreachable):
 		// An unreachable target is a legitimate semantic outcome of a
@@ -296,11 +237,43 @@ func (s *Server) serveQuery(ctx context.Context, tr *telemetry.Trace, w http.Res
 			httpError
 			Code string `json:"code"`
 		}{httpError{Error: err.Error()}, "target_unreachable"})
+		return
 	case err != nil:
 		badRequest(w, err)
-	default:
-		writeJSONTraced(tr, w, http.StatusOK, answer)
+		return
 	}
+	kf := keyFields{Alpha: a.key.Alpha(), Ph: a.key.Ph(), Frac: a.key.HonestFraction()}
+	var body any
+	switch q.op {
+	case "depth":
+		body = struct {
+			keyFields
+			Target float64 `json:"target"`
+			KMax   int     `json:"kmax"`
+			Depth  int     `json:"depth"`
+		}{kf, q.target, q.k, a.depth}
+	case "curve":
+		body = struct {
+			keyFields
+			K     int       `json:"k"`
+			Curve []float64 `json:"curve"`
+		}{kf, q.k, a.curve}
+	case "failure", "cell":
+		body = struct {
+			keyFields
+			K int     `json:"k"`
+			P float64 `json:"p"`
+		}{kf, q.k, a.p}
+	case "bracket":
+		body = struct {
+			keyFields
+			K     int     `json:"k"`
+			Tau   float64 `json:"tau"`
+			Lower float64 `json:"lower"`
+			Upper float64 `json:"upper"`
+		}{kf, q.k, q.tau, a.lower, a.upper}
+	}
+	writeJSONTraced(tr, w, http.StatusOK, body)
 }
 
 // batchRequest is the POST /v1/batch body.

@@ -78,23 +78,21 @@ var quietPaths = map[string]bool{
 	"/healthz/live": true, "/healthz/ready": true, "/metrics": true,
 }
 
-// MiddlewareConfig configures the telemetry edge beyond metrics and the
-// request log: the flight recorder finished traces are offered to, and
-// per-span debug logging.
+// MiddlewareConfig configures the telemetry edge: metrics, the request
+// log (per-span lines at debug level) and the flight recorder finished
+// traces are offered to.
 type MiddlewareConfig struct {
 	// Metrics records the (endpoint, status) counters and duration
 	// histogram; nil disables metrics.
 	Metrics *HTTPMetrics
 	// Logger emits one structured line per request (suppressed for
-	// probes and scrapes); nil disables logging.
+	// probes and scrapes), plus one line per recorded span when its level
+	// admits debug — the -log-level debug view of a request; nil disables
+	// logging.
 	Logger *slog.Logger
 	// Recorder receives every finished trace for tail sampling; nil
 	// disables recording.
 	Recorder *Recorder
-	// DebugSpans additionally logs one debug-level line per recorded
-	// span when Logger is set and its level admits debug — the
-	// -log-level debug view of a request.
-	DebugSpans bool
 }
 
 // MiddlewareWith wraps next with the telemetry edge: it adopts a valid
@@ -147,7 +145,7 @@ func MiddlewareWith(next http.Handler, cfg MiddlewareConfig) http.Handler {
 				slog.Duration("elapsed", elapsed),
 				slog.String("phases", string(tr.AppendPhases(phases[:0]))),
 			)
-			if cfg.DebugSpans && cfg.Logger.Enabled(r.Context(), slog.LevelDebug) {
+			if cfg.Logger.Enabled(r.Context(), slog.LevelDebug) {
 				logSpans(r, cfg.Logger, tr, kept)
 			}
 		}
