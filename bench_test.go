@@ -713,6 +713,80 @@ func BenchmarkOracleCold(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
 }
 
+// churnQuery is one query of BenchmarkOracleChurnMix's stream.
+type churnQuery struct {
+	op          string
+	alpha, frac float64
+	k           int
+}
+
+// churnMixStream draws n queries of the serve-churn op mix: 256
+// parameter points, one in each of 256 equal strata of α ∈ [0.05, 0.30]
+// paired with a seeded permutation of the strata of the honest fraction
+// ∈ [0.50, 1.00]; each query picks a point, one of the five ops and a
+// horizon k ∈ {50, 100, 150, 200} uniformly.
+func churnMixStream(seed int64, n int) []churnQuery {
+	const points = 256
+	rng := rand.New(rand.NewSource(seed))
+	stratum := func(i, span int) int {
+		lo, hi := i*span/points, (i+1)*span/points
+		return lo + rng.Intn(max(1, hi-lo))
+	}
+	type point struct{ alpha, frac float64 }
+	fracOrder := rng.Perm(points)
+	pts := make([]point, points)
+	for i := range pts {
+		pts[i] = point{float64(500+stratum(i, 2500)) / 1e4, float64(5000+stratum(fracOrder[i], 5000)) / 1e4}
+	}
+	ops := []string{"cell", "curve", "failure", "depth", "bracket"}
+	horizons := []int{50, 100, 150, 200}
+	stream := make([]churnQuery, n)
+	for i := range stream {
+		p := pts[rng.Intn(points)]
+		stream[i] = churnQuery{ops[rng.Intn(len(ops))], p.alpha, p.frac, horizons[rng.Intn(len(horizons))]}
+	}
+	return stream
+}
+
+// BenchmarkOracleChurnMix is the in-process rung between the lattice
+// kernel (BenchmarkCurveColdExtend) and perfbench's serve-churn workload:
+// its op mix asked straight of an oracle whose cache holds 16 of the 256
+// points, so nearly every query is a cold build or an extension. Depth
+// queries search for target 1e-4 within kmax 4096, brackets run at
+// τ = 1e-30. It reports ms/op and lattice steps/op; the step count comes
+// from the oracle's own counters and does not move with the host's speed.
+func BenchmarkOracleChurnMix(b *testing.B) {
+	stream := churnMixStream(11, 1000)
+	ctx := context.Background()
+	o := oracle.New(16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := stream[i%len(stream)]
+		ph := q.frac * (1 - q.alpha)
+		var err error
+		switch q.op {
+		case "cell":
+			_, err = o.TableCellCtx(ctx, q.frac, q.k, q.alpha)
+		case "curve":
+			_, err = o.SettlementCurveCtx(ctx, q.alpha, ph, q.k)
+		case "failure":
+			_, err = o.SettlementFailureCtx(ctx, q.alpha, ph, q.k)
+		case "depth":
+			_, err = o.ConfirmationDepthCtx(ctx, q.alpha, ph, 1e-4, 4096)
+		case "bracket":
+			_, _, err = o.SettlementBracketCtx(ctx, q.alpha, ph, q.k, 1e-30)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	st := o.Stats()
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+	b.ReportMetric(float64(st.LatticePublished+st.LatticeReplayed)/float64(b.N), "steps/op")
+}
+
 // table1GridOracle warms one oracle over the Table-1 parameter grid
 // (6 α columns × 6 honest fractions, curves to k = 500) exactly once per
 // bench binary; BenchmarkSnapshotSave and BenchmarkOracleRestartToHot

@@ -23,9 +23,7 @@ var (
 // the canonical domain pass through as drawn. In-range values are
 // folded onto a cheap region — k ≤ 160, kmax ≤ 512, target ≥ 1e-9,
 // α ≤ 0.45 — so no input builds a large lattice grid. NaN and ±Inf
-// are skipped, since a URL and JSON carry no such query, and so is a
-// curve k past MaxBatchCurvePoints, which the batch rejects whole
-// before any slot.
+// are skipped, since a URL and JSON carry no such query.
 func FuzzQueryPaths(f *testing.F) {
 	f.Add(uint8(1), 0.30, 0.25, true, 20, 0.0, 0.0)
 	f.Add(uint8(0), 0.25, 0.5, true, 4096, 1e-6, 0.0)
@@ -69,9 +67,6 @@ func FuzzQueryPaths(f *testing.F) {
 				k = 1 + (k-1)%160
 			}
 			q.K = k
-		}
-		if q.Op == "curve" && q.K > oracle.MaxBatchCurvePoints {
-			t.Skip()
 		}
 		get := getAsk(t, queryPathsServer, q)
 		batch, _, err := queryPathsOracle.BatchCtx(context.Background(), []oracle.BatchQuery{q}, 1)

@@ -51,6 +51,17 @@ func oracleInvariants() []Invariant {
 			Check:  checkReadoutResidencyIdentity,
 		},
 		{
+			Name: "rung-sparse-identity",
+			Statement: "Any interleaving of single-horizon publishes and " +
+				"queries, dense extensions and curve queries, engine " +
+				"releases, snapshot round trips and batches, over exact " +
+				"and pruned chains at horizons across the 16…256 rungs, " +
+				"serves every value bitwise equal to a dense, " +
+				"never-released build.",
+			Anchor: "lattice.Curve.Publish / Extend (internal/lattice/curve.go) + oracle.Oracle.extendLocked (internal/oracle/oracle.go)",
+			Check:  checkRungSparseIdentity,
+		},
+		{
 			Name: "failover-answer-identity",
 			Statement: "A replica answering a query whose shard owner is dead — " +
 				"retries exhausted, degraded local-compute fallback — returns " +
@@ -253,6 +264,129 @@ func checkReadoutResidencyIdentity(t *testing.T, r *rand.Rand) {
 			}
 			if wlo, whi := pruned.Bracket(k); math.Float64bits(lo) != math.Float64bits(wlo) || math.Float64bits(hi) != math.Float64bits(whi) {
 				t.Fatalf("trial %d query %d: oracle bracket at k = %d is [%v,%v], never-released [%v,%v]", trial, q, k, lo, hi, wlo, whi)
+			}
+		}
+	}
+}
+
+// sparseTaus are the chains rung-sparse-identity runs: exact, and the
+// pruned chain the bracket queries of the served workloads use.
+var sparseTaus = []float64{0, 1e-30}
+
+func checkRungSparseIdentity(t *testing.T, r *rand.Rand) {
+	ctx := context.Background()
+	const kMax = 256
+	for trial := 0; trial < 2; trial++ {
+		p := randParams(t, r)
+		alpha, ph := p.PA(), p.Ph
+		_, cp, err := oracle.Canonicalize(alpha, ph, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canon := settlement.New(cp)
+		dense := make([]*lattice.Curve, len(sparseTaus))
+		for i, tau := range sparseTaus {
+			dense[i] = canon.Curve(tau)
+			if err := dense[i].Extend(kMax); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameAt := func(i int, cv *lattice.Curve, h int) bool {
+			lo, hi := cv.Bracket(h)
+			wlo, whi := dense[i].Bracket(h)
+			return math.Float64bits(lo) == math.Float64bits(wlo) && math.Float64bits(hi) == math.Float64bits(whi)
+		}
+
+		// The curve itself: every published horizon reads the dense bits,
+		// whatever mix of operations published it.
+		for i := range sparseTaus {
+			cv := canon.Curve(sparseTaus[i])
+			for op := 0; op < 30; op++ {
+				k := 1 + r.Intn(kMax)
+				switch r.Intn(5) {
+				case 0, 1:
+					if err := cv.Publish(k); err != nil {
+						t.Fatal(err)
+					}
+				case 2:
+					if err := cv.Extend(k); err != nil {
+						t.Fatal(err)
+					}
+					if !cv.HasPrefix(k) {
+						t.Fatalf("trial %d τ=%v: Extend(%d) left a hole", trial, sparseTaus[i], k)
+					}
+				case 3:
+					cv.Release()
+				case 4:
+					lower, drop := cv.State()
+					cv = canon.Curve(sparseTaus[i])
+					if err := cv.Restore(lower, drop); err != nil {
+						t.Fatalf("trial %d τ=%v: restore: %v", trial, sparseTaus[i], err)
+					}
+				}
+				for h := 1; h <= cv.Len(); h++ {
+					if cv.Has(h) && !sameAt(i, cv, h) {
+						t.Fatalf("trial %d τ=%v op %d: horizon %d differs from the dense build", trial, sparseTaus[i], op, h)
+					}
+				}
+			}
+		}
+
+		// The oracle: single-horizon, curve and batch queries, with
+		// snapshot round trips into a fresh oracle between them.
+		o := oracle.New(4)
+		frac := cp.Ph / (1 - cp.PA())
+		for op := 0; op < 40; op++ {
+			k := 1 + r.Intn(kMax)
+			switch r.Intn(6) {
+			case 0:
+				v, err := o.SettlementFailureCtx(ctx, alpha, ph, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(v) != math.Float64bits(dense[0].Lower(k)) {
+					t.Fatalf("trial %d op %d: failure at k = %d is %v, dense %v", trial, op, k, v, dense[0].Lower(k))
+				}
+			case 1:
+				lo, hi, err := o.SettlementBracketCtx(ctx, alpha, ph, k, sparseTaus[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wlo, whi := dense[1].Bracket(k); math.Float64bits(lo) != math.Float64bits(wlo) || math.Float64bits(hi) != math.Float64bits(whi) {
+					t.Fatalf("trial %d op %d: bracket at k = %d is [%v,%v], dense [%v,%v]", trial, op, k, lo, hi, wlo, whi)
+				}
+			case 2:
+				got, err := o.SettlementCurveCtx(ctx, alpha, ph, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, dense[0].ValuesUpTo(k)) {
+					t.Fatalf("trial %d op %d: curve at k = %d differs from the dense build", trial, op, k)
+				}
+			case 3:
+				k2 := 1 + r.Intn(kMax)
+				res, _, err := o.BatchCtx(ctx, []oracle.BatchQuery{
+					{Op: "cell", Alpha: alpha, Frac: &frac, K: k},
+					{Op: "bracket", Alpha: alpha, Ph: &ph, K: k2, Tau: sparseTaus[1]},
+				}, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wlo, whi := dense[1].Bracket(k2)
+				if res[0].P == nil || math.Float64bits(*res[0].P) != math.Float64bits(dense[0].Lower(k)) ||
+					res[1].Lower == nil || math.Float64bits(*res[1].Lower) != math.Float64bits(wlo) ||
+					math.Float64bits(*res[1].Upper) != math.Float64bits(whi) {
+					t.Fatalf("trial %d op %d: batch at k = %d, %d answers %+v %+v", trial, op, k, k2, res[0], res[1])
+				}
+			default:
+				var buf bytes.Buffer
+				if _, err := o.WriteSnapshot(&buf); err != nil {
+					t.Fatal(err)
+				}
+				o = oracle.New(4)
+				if stats, err := o.LoadSnapshot(&buf); err != nil || stats.Damaged() || stats.Skipped > 0 {
+					t.Fatalf("trial %d op %d: snapshot round trip: %+v, %v", trial, op, stats, err)
+				}
 			}
 		}
 	}

@@ -198,7 +198,8 @@ func TestCurveRelease(t *testing.T) {
 }
 
 // TestCurveRestoreRejects: Restore validates its input — length
-// mismatches, out-of-range probabilities, NaNs, decreasing ledgers, and
+// mismatches, out-of-range probabilities, NaNs other than a hole's (NaN
+// in both slices, before the last horizon), decreasing ledgers, and
 // already-computed curves are all refused.
 func TestCurveRestoreRejects(t *testing.T) {
 	fresh := func() *Curve { return NewCurve(exactBuilder(0), false) }
@@ -214,6 +215,8 @@ func TestCurveRestoreRejects(t *testing.T) {
 		{"drop-nan", []float64{0.5, 0.4}, []float64{0, math.NaN()}},
 		{"drop-decreasing", []float64{0.5, 0.4}, []float64{1e-9, 1e-10}},
 		{"drop-inf", []float64{0.5}, []float64{math.Inf(1)}},
+		{"half-hole", []float64{math.NaN(), 0.4}, []float64{0, 0}},
+		{"trailing-hole", []float64{0.5, math.NaN()}, []float64{0, math.NaN()}},
 	}
 	for _, tc := range cases {
 		if err := fresh().Restore(tc.lower, tc.drop); err == nil {
@@ -243,5 +246,82 @@ func TestCurveErrors(t *testing.T) {
 	cf := NewCurve(func(int) (*Engine, error) { return nil, boom }, false)
 	if err := cf.Extend(5); !errors.Is(err, boom) {
 		t.Errorf("builder error lost: %v", err)
+	}
+}
+
+// TestCurvePublish: a single-horizon publish runs only the horizon's own
+// rung, stores the horizons of that rung it passes and no others, and
+// every value it stores is the dense build's, bit for bit; a later dense
+// Extend fills only the holes, and Restore round-trips the holes.
+func TestCurvePublish(t *testing.T) {
+	for _, tau := range []float64{0, 1e-30} {
+		dense := NewCurve(exactBuilder(tau), false)
+		if err := dense.Extend(200); err != nil {
+			t.Fatal(err)
+		}
+		if pub, rep := dense.Work(); pub != 200 || rep != 240 {
+			t.Fatalf("τ=%v: dense build to 200 took %d published + %d replayed steps, want 200 + 240", tau, pub, rep)
+		}
+		sparse := NewCurve(exactBuilder(tau), false)
+		for _, k := range []int{150, 200, 140, 9} {
+			if err := sparse.Publish(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Rung 256 stored 129..200 (150 cold, then 200 continuing the
+		// engine, then 140 already on record); rung 16 stored 1..9.
+		if pub, rep := sparse.Work(); pub != 72+9 || rep != 128 {
+			t.Fatalf("τ=%v: publishes took %d published + %d replayed steps, want 81 + 128", tau, pub, rep)
+		}
+		same := func(c *Curve, h int) bool {
+			return math.Float64bits(c.Lower(h)) == math.Float64bits(dense.Lower(h)) &&
+				math.Float64bits(c.Upper(h)) == math.Float64bits(dense.Upper(h))
+		}
+		for h := 1; h <= 200; h++ {
+			if want := h <= 9 || h > 128; sparse.Has(h) != want {
+				t.Fatalf("τ=%v: Has(%d) = %v, want %v", tau, h, sparse.Has(h), want)
+			}
+			if sparse.Has(h) && !same(sparse, h) {
+				t.Fatalf("τ=%v h=%d: published [%v,%v], dense [%v,%v]", tau, h, sparse.Lower(h), sparse.Upper(h), dense.Lower(h), dense.Upper(h))
+			}
+		}
+		if sparse.Len() != 200 || !sparse.HasPrefix(9) || sparse.HasPrefix(10) {
+			t.Fatalf("τ=%v: Len %d, HasPrefix(9) %v, HasPrefix(10) %v", tau, sparse.Len(), sparse.HasPrefix(9), sparse.HasPrefix(10))
+		}
+
+		lower, drop := sparse.State()
+		restored := NewCurve(exactBuilder(tau), false)
+		if err := restored.Restore(lower, drop); err != nil {
+			t.Fatalf("τ=%v: Restore of a sparse state: %v", tau, err)
+		}
+		for _, c := range []*Curve{sparse, restored} {
+			c.Release()
+			if err := c.Extend(200); err != nil {
+				t.Fatal(err)
+			}
+			for h := 1; h <= 200; h++ {
+				if !same(c, h) {
+					t.Fatalf("τ=%v h=%d: filled [%v,%v], dense [%v,%v]", tau, h, c.Lower(h), c.Upper(h), dense.Lower(h), dense.Upper(h))
+				}
+			}
+		}
+		// Filling the holes publishes each missing horizon once: rungs
+		// 16 (steps 10..16), 32, 64 and 128 from step zero.
+		if pub, rep := sparse.Work(); pub != 200 || rep != 128+9+16+32+64 {
+			t.Fatalf("τ=%v: after the fill %d published + %d replayed steps, want 200 + 249", tau, pub, rep)
+		}
+	}
+
+	// A fixed-geometry curve has one rung: Publish is Extend.
+	g := Geometry{RMax: 32, SMin: -32, SMax: 32}
+	fixed := NewCurve(builder(g, true, 0), true)
+	if err := fixed.Publish(40); err != nil {
+		t.Fatal(err)
+	}
+	if !fixed.HasPrefix(40) {
+		t.Fatal("fixed-geometry Publish(40) left holes")
+	}
+	if err := NewCurve(exactBuilder(0), false).Publish(0); err == nil {
+		t.Error("Publish(0) accepted")
 	}
 }

@@ -537,8 +537,17 @@ func (e *Engine) band(r int) (int, int) {
 	return e.lo[r], e.hi[r]
 }
 
-// Step advances the chain by one step.
-func (e *Engine) Step() {
+// Step advances the chain by one step and sums the step's TailMass
+// readout as it goes.
+func (e *Engine) Step() { e.step(true) }
+
+// Advance is Step without the readout sum, for a step whose TailMass
+// nobody reads — a ladder rung replaying the steps below the horizons it
+// stores. The mass, the bands and the ledger come out bit for bit as
+// after Step; a TailMass call that follows scans instead.
+func (e *Engine) Advance() { e.step(false) }
+
+func (e *Engine) step(readout bool) {
 	e.steps++
 	if e.opt.Full {
 		e.stepFull()
@@ -561,6 +570,7 @@ func (e *Engine) Step() {
 	// outside the write range, trim band edges with mass ≤ τ into the
 	// ledger, and sum the s ≥ 0 readout in TailMass's row-major order.
 	tau := e.opt.Tau
+	pa, q := e.st.PA, e.st.Ph+e.st.PH
 	tail, dropped := 0.0, e.dropped
 	newRLo, newRHi := g.RMax+1, -1
 	for rd := rdLo; rd <= rdHi; rd++ {
@@ -573,17 +583,26 @@ func (e *Engine) Step() {
 		if rd > 0 && rd < g.RMax && !(e.st.StickyReach && rd+1 == g.RMax) {
 			aLo, aHi := e.band(rd - 1)
 			hLo, hHi := e.band(rd + 1)
-			switch {
-			case aLo > aHi:
-				lo, hi = hLo, hHi
-			case hLo > hHi:
-				lo, hi = aLo, aHi
-			default:
-				lo, hi = min(aLo, hLo), max(aHi, hHi)
-			}
-			if lo <= hi {
-				lo, hi = max(lo-1, g.SMin), min(hi+1, g.SMax)
-				e.fusedRow(dst, e.row(e.cur, rd-1), e.row(e.cur, rd+1), lo, hi)
+			if aLo == aHi && hLo == hHi && hLo == aLo+2 && aLo >= 0 {
+				// One-cell row: each source row is a single live cell on
+				// the diagonal through s = aLo+1 ≥ 1, the one cell of the
+				// row fusedRow would write non-zero, and this is the
+				// expression stencilRun writes it with.
+				lo, hi = aLo+1, aLo+1
+				dst[lo+o] = float64(pa*e.cur[(rd-1)*e.width+aLo+o]) + float64(q*e.cur[(rd+1)*e.width+hLo+o])
+			} else {
+				switch {
+				case aLo > aHi:
+					lo, hi = hLo, hHi
+				case hLo > hHi:
+					lo, hi = aLo, aHi
+				default:
+					lo, hi = min(aLo, hLo), max(aHi, hHi)
+				}
+				if lo <= hi {
+					lo, hi = max(lo-1, g.SMin), min(hi+1, g.SMax)
+					e.fusedRow(dst, e.row(e.cur, rd-1), e.row(e.cur, rd+1), lo, hi)
+				}
 			}
 		} else {
 			lo, hi = e.accumulate(dst, rd)
@@ -615,7 +634,7 @@ func (e *Engine) Step() {
 			continue
 		}
 		newRLo, newRHi = min(newRLo, rd), max(newRHi, rd)
-		if hi >= 0 {
+		if readout && hi >= 0 {
 			for _, m := range dst[max(lo, 0)+o : hi+o+1] {
 				tail += m
 			}
@@ -626,7 +645,7 @@ func (e *Engine) Step() {
 	e.hi, e.nHi = e.nHi, e.hi
 	e.rLo, e.nrLo = newRLo, e.rLo
 	e.rHi, e.nrHi = newRHi, e.rHi
-	e.tail, e.tailOK = tail, true
+	e.tail, e.tailOK = tail, readout
 	e.dropped = dropped
 }
 

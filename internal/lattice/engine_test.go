@@ -209,3 +209,48 @@ func TestEmptyEngine(t *testing.T) {
 		t.Fatalf("empty engine: steps=%d total=%v tail=%v", e.Steps(), e.Total(), e.TailMass())
 	}
 }
+
+// TestOneCellRows: on the settlement chain's diagonal seed, every row
+// beyond the boundary's reach holds one cell, so most interior rows of a
+// step take Step's one-cell path. Every cell stays bitwise equal to the
+// Full-mode sweep, which never takes it.
+func TestOneCellRows(t *testing.T) {
+	g := Geometry{RMax: 65, SMin: -64, SMax: 65}
+	for _, sticky := range []bool{false, true} {
+		banded, err := NewEngine(g, testStencil(sticky), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := NewEngine(g, testStencil(sticky), Options{Full: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seedGeometric(banded, g.RMax, 0.42)
+		seedGeometric(full, g.RMax, 0.42)
+		oneCell := 0
+		for step := 1; step <= 64; step++ {
+			for rd := max(banded.rLo-1, 1); rd <= min(banded.rHi+1, g.RMax-1); rd++ {
+				aLo, aHi := banded.band(rd - 1)
+				hLo, hHi := banded.band(rd + 1)
+				if aLo == aHi && hLo == hHi && hLo == aLo+2 && aLo >= 0 && !(sticky && rd+1 == g.RMax) {
+					oneCell++
+				}
+			}
+			banded.Step()
+			full.Step()
+			for r := 0; r <= g.RMax; r++ {
+				for s := g.SMin; s <= g.SMax; s++ {
+					if b, f := banded.Mass(r, s), full.Mass(r, s); math.Float64bits(b) != math.Float64bits(f) {
+						t.Fatalf("sticky=%v step %d cell (%d,%d): banded %v != full %v", sticky, step, r, s, b, f)
+					}
+				}
+			}
+			if b, f := banded.TailMass(), full.TailMass(); math.Float64bits(b) != math.Float64bits(f) {
+				t.Fatalf("sticky=%v step %d: tail banded %v != full %v", sticky, step, b, f)
+			}
+		}
+		if oneCell == 0 {
+			t.Fatalf("sticky=%v: no step took the one-cell path", sticky)
+		}
+	}
+}

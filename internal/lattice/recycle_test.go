@@ -150,3 +150,43 @@ func TestColdBuildsRecycleGrids(t *testing.T) {
 		t.Fatalf("a warm cold build allocated %d B on average, want well under 256 KB", per)
 	}
 }
+
+// TestAdvanceMatchesStep: Advance moves the chain exactly as Step does —
+// every cell and the ledger keep their bits — and a TailMass read after
+// it scans to Step's summed readout.
+func TestAdvanceMatchesStep(t *testing.T) {
+	g := Geometry{RMax: 40, SMin: -40, SMax: 40}
+	for _, tau := range []float64{0, 1e-12} {
+		stepped, err := NewEngine(g, testStencil(false), Options{Tau: tau})
+		if err != nil {
+			t.Fatal(err)
+		}
+		advanced, err := NewEngine(g, testStencil(false), Options{Tau: tau})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seedGeometric(stepped, g.RMax, 0.42)
+		seedGeometric(advanced, g.RMax, 0.42)
+		for i := 1; i <= 40; i++ {
+			stepped.Step()
+			if i%3 == 0 {
+				advanced.Step()
+			} else {
+				advanced.Advance()
+			}
+			if advanced.Dropped() != stepped.Dropped() {
+				t.Fatalf("τ=%v step %d: ledger %v after Advance, %v after Step", tau, i, advanced.Dropped(), stepped.Dropped())
+			}
+			for r := 0; r <= g.RMax; r++ {
+				for s := g.SMin; s <= g.SMax; s++ {
+					if a, b := advanced.Mass(r, s), stepped.Mass(r, s); math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("τ=%v step %d cell (%d,%d): %v after Advance, %v after Step", tau, i, r, s, a, b)
+					}
+				}
+			}
+			if a, b := advanced.TailMass(), stepped.TailMass(); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("τ=%v step %d: TailMass %v after Advance, %v after Step", tau, i, a, b)
+			}
+		}
+	}
+}

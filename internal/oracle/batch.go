@@ -101,17 +101,23 @@ const MaxBatchCurvePoints = 1 << 19
 // the independent groups execute on a runner.ForEach pool (workers ≤ 0
 // selects all CPUs). Results arrive in request order; per-query failures
 // are reported in their slot without failing the batch. A batch whose
-// curve queries together exceed MaxBatchCurvePoints is rejected whole.
+// valid curve queries together exceed MaxBatchCurvePoints is rejected
+// whole; an invalid slot only counts as its own error.
 // Per-group lock waits and DP work are recorded as spans of the request
 // trace carried by ctx; group workers share the one trace (span
 // recording is atomic).
 func (o *Oracle) BatchCtx(ctx context.Context, queries []BatchQuery, workers int) ([]BatchResult, BatchPlan, error) {
 	tr := telemetry.TraceFrom(ctx)
 	o.batchQ.Add(1)
+	// Validate every slot before anything else: an invalid slot earns its
+	// own error below, and only valid curve slots count toward the cap.
+	qs := make([]query, len(queries))
+	errs := make([]error, len(queries))
 	points := 0
 	for i := range queries {
-		if queries[i].Op == "curve" && queries[i].K > 0 {
-			points += queries[i].K
+		qs[i], errs[i] = queries[i].query()
+		if errs[i] == nil && qs[i].op == "curve" {
+			points += qs[i].k
 		}
 	}
 	if points > MaxBatchCurvePoints {
@@ -128,22 +134,21 @@ func (o *Oracle) BatchCtx(ctx context.Context, queries []BatchQuery, workers int
 	}
 	groups := make(map[Key]*group)
 	var order []*group
-	qs := make([]query, len(queries))
 	for i := range queries {
 		out[i].Op = queries[i].Op
-		q, err := queries[i].query()
+		q := &qs[i]
 		// Planning probes many keys; per-query hit/miss attrs would only
 		// churn the root span's slots, so the lookup goes untraced here —
 		// the per-group spans below carry the batch's tree instead.
 		var e *entry
+		err := errs[i]
 		if err == nil {
-			e, err = o.lookup(q.alpha, q.ph, q.tau, nil)
+			e, err = o.lookup(q, nil)
 		}
 		if err != nil {
 			out[i].Error = err.Error()
 			continue
 		}
-		qs[i] = q
 		o.opCounter(q.op).Add(1)
 		g, ok := groups[e.key]
 		if !ok {
@@ -172,7 +177,7 @@ func (o *Oracle) BatchCtx(ctx context.Context, queries []BatchQuery, workers int
 		o.lockEntry(g.e, tr)
 		defer g.e.mu.Unlock()
 		if g.maxK > 0 {
-			if err := o.extendLocked(g.e, g.maxK, tr); err != nil {
+			if err := o.extendLocked(g.e, g.maxK, true, tr); err != nil {
 				for _, i := range g.indices {
 					out[i].Error = err.Error()
 				}

@@ -262,8 +262,9 @@ func fnv1a[T string | []byte](h uint64, s T) uint64 {
 	return h
 }
 
-// routedQuery parses a key-addressable query once, for both routing and
-// serving, and returns it with its canonical chain key (τ = 0).
+// routedQuery parses and canonicalizes a key-addressable query once, for
+// both routing and serving, and returns it with its canonical chain key
+// (routing reads only the key's parameter point, never its τ).
 // Malformed parameters return ok=false and are served locally, where
 // they earn their 400 without a network hop.
 func routedQuery(r *http.Request) (query, Key, bool) {
@@ -272,14 +273,10 @@ func routedQuery(r *http.Request) (query, Key, bool) {
 		return query{}, Key{}, false
 	}
 	q, err := parseQuery(op, r.URL.Query())
-	if err != nil {
+	if err != nil || q.canonicalize() != nil {
 		return query{}, Key{}, false
 	}
-	key, _, err := Canonicalize(q.alpha, q.ph, 0)
-	if err != nil {
-		return query{}, Key{}, false
-	}
-	return q, key, true
+	return q, q.key, true
 }
 
 // bufferedResponse captures a whole response so the forward/hedge race

@@ -30,6 +30,9 @@ func (o *Oracle) Instrument(reg *telemetry.Registry) {
 	queries.Func(func() float64 { return float64(o.bracketQ.Load()) }, "bracket")
 	queries.Func(func() float64 { return float64(o.cellQ.Load()) }, "cell")
 	queries.Func(func() float64 { return float64(o.batchQ.Load()) }, "batch")
+	steps := reg.CounterVec("oracle_lattice_steps_total", "Lattice steps run for queries, by whether the step's readout was stored (published) or not (replayed).", "kind")
+	steps.Func(func() float64 { return float64(o.stepsPublished.Load()) }, "published")
+	steps.Func(func() float64 { return float64(o.stepsReplayed.Load()) }, "replayed")
 	o.met = oracleMetrics{
 		build:  reg.Histogram("oracle_build_seconds", "Cold DP builds of a chain's curve.", nil),
 		extend: reg.Histogram("oracle_extend_seconds", "Curve extensions past the cached horizon.", nil),

@@ -368,3 +368,70 @@ func driveFailingForwards(t *testing.T, c *Cluster) {
 		t.Fatal("no query hashed to the peer")
 	}
 }
+
+// TestLatticeStepCounts pins the lattice work of each query kind on the
+// oracle_lattice_steps_total counters, which do not move with the host's
+// speed. A cold failure at k = 200 runs rung 256 alone: 128 replayed
+// steps, then the 72 horizons 129..200 it stores. A cold curve at 200
+// walks the whole ladder 16…256: 200 published, 240 replayed. Filling the
+// first point's curve to 200 then runs only the rungs below 129. A cold
+// depth search sweeps to the next power of two at or above its answer.
+func TestLatticeStepCounts(t *testing.T) {
+	o := New(8)
+	reg := telemetry.New()
+	o.Instrument(reg)
+	steps := func() (pub, rep int64) {
+		st := o.Stats()
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := telemetry.ParseText(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp, _ := sc.Value("oracle_lattice_steps_total", map[string]string{"kind": "published"})
+		mr, _ := sc.Value("oracle_lattice_steps_total", map[string]string{"kind": "replayed"})
+		if mp != float64(st.LatticePublished) || mr != float64(st.LatticeReplayed) {
+			t.Fatalf("/metrics steps %v/%v, Stats %d/%d", mp, mr, st.LatticePublished, st.LatticeReplayed)
+		}
+		return st.LatticePublished, st.LatticeReplayed
+	}
+	expect := func(what string, wantPub, wantRep int64) {
+		t.Helper()
+		if pub, rep := steps(); pub != wantPub || rep != wantRep {
+			t.Fatalf("after %s: %d published, %d replayed steps; want %d, %d", what, pub, rep, wantPub, wantRep)
+		}
+	}
+	if _, err := o.SettlementFailureCtx(ctx, 0.30, 0.35, 200); err != nil {
+		t.Fatal(err)
+	}
+	expect("a cold failure at k = 200", 72, 128)
+	if _, err := o.SettlementCurveCtx(ctx, 0.25, 0.375, 200); err != nil {
+		t.Fatal(err)
+	}
+	expect("a cold curve at k = 200", 72+200, 128+240)
+	if _, err := o.SettlementCurveCtx(ctx, 0.30, 0.35, 200); err != nil {
+		t.Fatal(err)
+	}
+	expect("the first point's curve at k = 200", 72+200+128, 128+240+112)
+	for _, k := range []int{1, 100, 150, 200} {
+		if _, err := o.SettlementFailureCtx(ctx, 0.30, 0.35, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect("warm failures", 72+200+128, 128+240+112)
+
+	d, err := o.ConfirmationDepthCtx(ctx, 0.20, 0.4, 1e-4, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := int64(16)
+	for span < int64(d) {
+		span *= 2
+	}
+	expect(fmt.Sprintf("a cold depth search answering %d", d), 72+200+128+span, 128+240+112)
+	if st := o.Stats(); st.Builds != 3 || st.Extends != 1 {
+		t.Fatalf("%d builds, %d extends; want 3 and 1 (one per search, not per doubling)", st.Builds, st.Extends)
+	}
+}

@@ -19,12 +19,13 @@
 // parameter point, guarded by a per-entry mutex. Concurrent misses for the
 // same key converge on the same entry: the first goroutine to take the
 // entry lock runs the one DP build, the rest block on the lock and then
-// find the curve already long enough (Curve.Extend is idempotent) — miss
-// coalescing without a separate singleflight table. A query needing a
-// deeper horizon than cached extends the curve in place under the same
-// lock (see the Curve concurrency contract in internal/lattice). A hot
-// parameter point thus costs one DP build ever; everything after is a
-// slice read or an extension.
+// find their horizon already published (a published horizon is never
+// recomputed) — miss coalescing without a separate singleflight table. A
+// query for a horizon not on record extends the curve in place under the
+// same lock (see the Curve concurrency contract in internal/lattice): a
+// curve query fills every horizon up to k, a single-horizon query runs
+// only its horizon's ladder rung (Curve.Publish). A hot parameter point
+// thus computes each horizon once; everything after is a slice read.
 //
 // # Readout-only residency
 //
@@ -33,8 +34,8 @@
 // work on an entry is done (the main curve's extension, or a depth
 // query's whole doubling search over an upper-bound chain), the oracle
 // releases the engine under the entry lock (lattice.Curve.Release). A
-// later query past the cached horizon rebuilds the engine and replays
-// from step zero through the canonical ladder, so its answer is
+// later query for a horizon not on record rebuilds its rung's engine and
+// replays from step zero, so its answer is
 // byte-identical to that of a curve that kept its engine
 // (readout-residency-identity). The grid is live only while a request
 // is extending, so resident memory is O(k) per entry plus the grids of
@@ -155,6 +156,8 @@ type Stats struct {
 	Extends            int64 `json:"extends"`
 	BuildNanos         int64 `json:"build_nanos"`
 	ExtendNanos        int64 `json:"extend_nanos"`
+	LatticePublished   int64 `json:"lattice_steps_published"`
+	LatticeReplayed    int64 `json:"lattice_steps_replayed"`
 	ResidentCurveBytes int64 `json:"resident_curve_bytes"`
 	DepthQueries       int64 `json:"depth_queries"`
 	CurveQueries       int64 `json:"curve_queries"`
@@ -177,6 +180,7 @@ type Oracle struct {
 
 	hits, misses, evictions, coalesced      atomic.Int64
 	builds, extends, buildNS, extendNS      atomic.Int64
+	stepsPublished, stepsReplayed           atomic.Int64
 	residentBytes                           atomic.Int64
 	depthQ, curveQ, bracketQ, cellQ, batchQ atomic.Int64
 	snapSaves, snapLoaded, snapQuarantined  atomic.Int64
@@ -224,18 +228,18 @@ func Canonicalize(alpha, ph, tau float64) (Key, charstring.Params, error) {
 	return key, p, nil
 }
 
-// lookup returns the resident entry for the canonical key, creating (and
-// counting a miss for) one when absent. Entry creation is cheap — curves
-// build lazily on first extension — so it happens under the cache lock;
-// the DP work itself always runs under the entry lock only. The outcome
-// is tagged onto the trace's root span as cache=hit|miss — literal
-// strings into a preallocated attribute slot, so the warm hit path stays
-// allocation-free even fully traced.
-func (o *Oracle) lookup(alpha, ph, tau float64, tr *telemetry.Trace) (*entry, error) {
-	key, p, err := Canonicalize(alpha, ph, tau)
-	if err != nil {
+// lookup returns the resident entry for the query's canonical key,
+// creating (and counting a miss for) one when absent. Entry creation is
+// cheap — curves build lazily on first extension — so it happens under
+// the cache lock; the DP work itself always runs under the entry lock
+// only. The outcome is tagged onto the trace's root span as
+// cache=hit|miss — literal strings into a preallocated attribute slot,
+// so the warm hit path stays allocation-free even fully traced.
+func (o *Oracle) lookup(q *query, tr *telemetry.Trace) (*entry, error) {
+	if err := q.canonicalize(); err != nil {
 		return nil, err
 	}
+	key := q.key
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if e, ok := o.entries[key]; ok {
@@ -246,7 +250,7 @@ func (o *Oracle) lookup(alpha, ph, tau float64, tr *telemetry.Trace) (*entry, er
 	}
 	o.misses.Add(1)
 	tr.Root().SetAttr("cache", "miss")
-	e := &entry{key: key, comp: settlement.New(p)}
+	e := &entry{key: key, comp: settlement.New(q.params)}
 	e.elem = o.lru.PushFront(e)
 	o.entries[key] = e
 	for o.lru.Len() > o.maxEntries {
@@ -300,35 +304,38 @@ func (o *Oracle) accountLocked(e *entry) {
 	}
 }
 
-// extendLocked brings the entry's main curve to horizon ≥ k, classifying
-// the work as a cold build (first steps of this chain) or an extension
-// and timing it, then releases the engine so the entry rests on its
-// readouts. The caller holds e.mu.
-func (o *Oracle) extendLocked(e *entry, k int, tr *telemetry.Trace) error {
+// extendLocked brings the entry's main curve to horizon k — every
+// horizon 1..k when whole (curve queries and batch groups), horizon k
+// alone otherwise, which runs only k's ladder rung — records the work as
+// a cold build (first steps of this chain) or an extension, then releases
+// the engine so the entry rests on its readouts. The caller holds e.mu.
+func (o *Oracle) extendLocked(e *entry, k int, whole bool, tr *telemetry.Trace) error {
 	if e.curve == nil {
 		e.curve = e.comp.Curve(e.key.Tau())
 	}
-	prev := e.curve.Len()
-	if k <= prev {
+	cv := e.curve
+	if whole && cv.HasPrefix(k) || !whole && cv.Has(k) {
 		return nil
 	}
-	start := time.Now()
-	err := e.curve.Extend(k)
-	e.curve.Release()
+	w := startWork(cv)
+	var err error
+	if whole {
+		err = cv.Extend(k)
+	} else {
+		err = cv.Publish(k)
+	}
+	cv.Release()
 	if err == nil {
-		o.recordWork(e, prev, k, start, tr)
+		o.recordWork(e, cv, w, tr)
 	}
 	o.accountLocked(e)
 	return err
 }
 
-// upperLocked returns the entry's rigorous upper-bound curve for the given
-// saturation cap, extended to horizon ≥ k, and whether this call ran
-// lattice steps on it (even if they then failed). The curve keeps its
-// engine, so the next step of the caller's doubling search continues the
-// sweep; the caller holds e.mu and releases a grown curve when the search
-// is done.
-func (o *Oracle) upperLocked(e *entry, cap, k int, tr *telemetry.Trace) (*lattice.Curve, bool, error) {
+// upperLocked returns the entry's rigorous upper-bound curve for the
+// given saturation cap, creating it empty when absent. The caller holds
+// e.mu.
+func (o *Oracle) upperLocked(e *entry, cap int) *lattice.Curve {
 	if e.upper == nil {
 		e.upper = make(map[int]*lattice.Curve)
 	}
@@ -343,33 +350,41 @@ func (o *Oracle) upperLocked(e *entry, cap, k int, tr *telemetry.Trace) (*lattic
 		uc = e.comp.UpperCurve(cap)
 		e.upper[cap] = uc
 	}
-	prev := uc.Len()
-	if k <= prev {
-		return uc, false, nil
-	}
-	start := time.Now()
-	if err := uc.Extend(k); err != nil {
-		return uc, true, err
-	}
-	o.recordWork(e, prev, k, start, tr)
-	return uc, true, nil
+	return uc
 }
 
-// recordWork classifies finished DP work on entry e: prev == 0 was a
-// cold build, anything else an extension of prev → k (which replays the
-// first prev steps when the curve had released its engine). The
-// duration lands in the matching latency histogram (with an exemplar
-// linking the bucket to this trace) and a build/extend span under the
-// request's root carrying the canonical key and the number of new
-// horizons computed. DP work is inherently a cold path, so the span's
-// key attribute may allocate.
-func (o *Oracle) recordWork(e *entry, prev, k int, start time.Time, tr *telemetry.Trace) {
-	d := time.Since(start)
+// work is the state of one request's DP work on a curve when it began.
+type work struct {
+	start               time.Time
+	cold                bool // the curve had no readouts
+	published, replayed int64
+}
+
+// startWork marks the start of DP work on cv.
+func startWork(cv *lattice.Curve) work {
+	w := work{start: time.Now(), cold: cv.Len() == 0}
+	w.published, w.replayed = cv.Work()
+	return w
+}
+
+// recordWork classifies finished DP work w on entry e's curve cv: a cold
+// build when cv had no readouts, an extension otherwise (which replays
+// from step zero when the curve had released its engine). The duration
+// lands in the matching latency histogram (with an exemplar linking the
+// bucket to this trace), the lattice steps in the published/replayed
+// counters, and a build/extend span under the request's root carries the
+// canonical key and the number of horizons published. DP work is
+// inherently a cold path, so the span's key attribute may allocate.
+func (o *Oracle) recordWork(e *entry, cv *lattice.Curve, w work, tr *telemetry.Trace) {
+	d := time.Since(w.start)
+	pub, rep := cv.Work()
+	o.stepsPublished.Add(pub - w.published)
+	o.stepsReplayed.Add(rep - w.replayed)
 	name, trID := "extend", ""
 	if tr != nil {
 		trID = tr.ID
 	}
-	if prev == 0 {
+	if w.cold {
 		name = "build"
 		o.builds.Add(1)
 		o.buildNS.Add(int64(d))
@@ -379,9 +394,9 @@ func (o *Oracle) recordWork(e *entry, prev, k int, start time.Time, tr *telemetr
 		o.extendNS.Add(int64(d))
 		o.met.extend.ObserveWithExemplar(d.Seconds(), trID)
 	}
-	if sp := tr.AddSpan(name, tr.Root(), start, d); sp.Active() {
+	if sp := tr.AddSpan(name, tr.Root(), w.start, d); sp.Active() {
 		sp.SetAttr("key", fmt.Sprintf("%d/%d", e.key.AlphaBP, e.key.FracBP))
-		sp.SetValue(int64(k - prev))
+		sp.SetValue(pub - w.published)
 	}
 }
 
@@ -394,6 +409,24 @@ type query struct {
 	alpha, ph, frac float64
 	k               int // the horizon, or kmax for depth
 	target, tau     float64
+
+	// key and params hold Canonicalize(alpha, ph, tau) once keyed is set,
+	// so a query the cluster tier canonicalized to route it is not
+	// canonicalized again to look it up.
+	key    Key
+	params charstring.Params
+	keyed  bool
+}
+
+// canonicalize resolves the query's canonical key and parameters, once.
+func (q *query) canonicalize() error {
+	if q.keyed {
+		return nil
+	}
+	var err error
+	q.key, q.params, err = Canonicalize(q.alpha, q.ph, q.tau)
+	q.keyed = err == nil
+	return err
 }
 
 // validate runs the checks of the query's op before it reaches the
@@ -444,7 +477,7 @@ func (o *Oracle) ask(q *query, tr *telemetry.Trace) (answer, error) {
 	if err := q.validate(); err != nil {
 		return answer{}, err
 	}
-	e, err := o.lookup(q.alpha, q.ph, q.tau, tr)
+	e, err := o.lookup(q, tr)
 	if err != nil {
 		return answer{}, err
 	}
@@ -452,7 +485,7 @@ func (o *Oracle) ask(q *query, tr *telemetry.Trace) (answer, error) {
 	o.lockEntry(e, tr)
 	defer e.mu.Unlock()
 	if q.op != "depth" {
-		if err := o.extendLocked(e, q.k, tr); err != nil {
+		if err := o.extendLocked(e, q.k, q.op == "curve", tr); err != nil {
 			return answer{}, err
 		}
 	}
@@ -545,20 +578,22 @@ func (o *Oracle) ConfirmationDepthCtx(ctx context.Context, alpha, ph, target flo
 
 // depthLocked is answerLocked's depth readout: the doubling search,
 // under the entry lock. The search extends the upper-bound chain step
-// after step on one engine, which is released once the search is over.
+// after step on one engine, which is released once the search is over;
+// a search that ran lattice steps records them as one build or extension.
 func (o *Oracle) depthLocked(e *entry, target float64, kmax int, tr *telemetry.Trace) (int, error) {
-	cap := e.comp.CapForTarget(target)
-	var grown *lattice.Curve // the chain this search ran steps on, if any
+	uc := o.upperLocked(e, e.comp.CapForTarget(target))
+	var w work
+	grew := false
 	extend := func(k int) (*lattice.Curve, error) {
-		uc, grew, err := o.upperLocked(e, cap, k, tr)
-		if grew {
-			grown = uc
+		if !grew && !uc.HasPrefix(k) {
+			w, grew = startWork(uc), true
 		}
-		return uc, err
+		return uc, uc.Extend(k)
 	}
 	d, err := settlement.DepthSearch(extend, target, kmax)
-	if grown != nil {
-		grown.Release()
+	if grew {
+		uc.Release()
+		o.recordWork(e, uc, w, tr)
 		o.accountLocked(e)
 	}
 	return d, err
@@ -579,6 +614,8 @@ func (o *Oracle) Stats() Stats {
 		Extends:            o.extends.Load(),
 		BuildNanos:         o.buildNS.Load(),
 		ExtendNanos:        o.extendNS.Load(),
+		LatticePublished:   o.stepsPublished.Load(),
+		LatticeReplayed:    o.stepsReplayed.Load(),
 		ResidentCurveBytes: o.residentBytes.Load(),
 		DepthQueries:       o.depthQ.Load(),
 		CurveQueries:       o.curveQ.Load(),

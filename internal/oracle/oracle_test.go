@@ -370,6 +370,32 @@ func TestOracleBatchInvalidLeavesCache(t *testing.T) {
 	}
 }
 
+// TestOracleBatchOversizedSlot: a curve slot whose k is past every
+// bound fails alone with the GET path's range error; it neither counts
+// toward MaxBatchCurvePoints nor rejects its valid siblings.
+func TestOracleBatchOversizedSlot(t *testing.T) {
+	o := New(4)
+	frac := 0.5
+	results, _, err := o.BatchCtx(ctx, []BatchQuery{
+		{Op: "curve", Alpha: 0.30, Frac: &frac, K: MaxBatchCurvePoints + 1},
+		{Op: "failure", Alpha: 0.30, Frac: &frac, K: 20},
+	}, 1)
+	if err != nil {
+		t.Fatalf("an invalid slot rejected the whole batch: %v", err)
+	}
+	_, getErr := o.SettlementCurveCtx(ctx, 0.30, 0.35, MaxBatchCurvePoints+1)
+	if getErr == nil || results[0].Error != getErr.Error() {
+		t.Errorf("oversized slot: error %q, want the GET path's %v", results[0].Error, getErr)
+	}
+	want, err := o.SettlementFailureCtx(ctx, 0.30, 0.35, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[1].Error != "" || results[1].P == nil || *results[1].P != want {
+		t.Errorf("valid sibling: %+v, want p = %v", results[1], want)
+	}
+}
+
 // TestOracleBatchOpFaultFirst: a batch slot with both a fault of its op
 // (unknown op, bad k, kmax, target or honest fraction) and a fault in
 // how it gives ph (neither ph nor frac, both, or a cell without frac)

@@ -135,13 +135,13 @@ func (c *Computer) ViolationProbability(k int) (float64, error) {
 	if k < 1 {
 		return 0, fmt.Errorf("settlement: k = %d must be ≥ 1", k)
 	}
-	// Routed through the incremental curve so the point query advances the
-	// same canonical-geometry sweep as every other path: the answer is
-	// byte-identical to ViolationCurve(k)[k-1] and to an oracle-cached
-	// curve extended to k in any number of stages.
+	// Routed through the incremental curve so the point query runs the
+	// same canonical-geometry rung as every other path — and only that
+	// rung: the answer is byte-identical to ViolationCurve(k)[k-1] and to
+	// an oracle-cached curve extended to k in any number of stages.
 	cv := c.Curve(0)
 	defer cv.Release()
-	if err := cv.Extend(k); err != nil {
+	if err := cv.Publish(k); err != nil {
 		return 0, err
 	}
 	return cv.Lower(k), nil
@@ -173,12 +173,12 @@ func (c *Computer) ViolationBracket(k int, tau float64) (lower, upper float64, e
 	if k < 1 {
 		return 0, 0, fmt.Errorf("settlement: k = %d must be ≥ 1", k)
 	}
-	// Same canonical sweep as ViolationCurveBracket: the point bracket is
-	// bit-equal to the curve endpoint (pinned by TestPropertyPrunedBracket-
+	// Same canonical rung as ViolationCurveBracket's endpoint: the point
+	// bracket is bit-equal to it (pinned by TestPropertyPrunedBracket-
 	// ContainsExact), so cached and cold paths can never disagree.
 	cv := c.Curve(tau)
 	defer cv.Release()
-	if err := cv.Extend(k); err != nil {
+	if err := cv.Publish(k); err != nil {
 		return 0, 0, err
 	}
 	lower, upper = cv.Bracket(k)

@@ -52,16 +52,20 @@ var ErrTargetUnreachable = errors.New("settlement: target unreachable within kma
 // core.Analyzer and the oracle service: the smallest k ≤ kmax whose
 // certified upper bound (Curve.Upper over a saturating upper-bound chain)
 // is at most target. extend(k) must return the — possibly cached — upper
-// curve with every horizon 1..k available; the search calls it with a
-// doubling sequence of horizons, so an incrementally extensible curve pays
-// every lattice step exactly once however deep the search goes. When even
-// kmax does not reach the target it returns an error wrapping
-// ErrTargetUnreachable. Callers validate their query first: target in
-// (0, 1) and kmax ≥ 1.
+// curve with every horizon 1..k available; the search calls it with the
+// horizons 16, 32, 64, … (capped at kmax) and stops at the first span
+// holding the answer, so it sweeps to the next power of two at or above
+// the depth (at least 16), not further. The upper chain's geometry does
+// not depend on the horizon, so an incrementally extensible curve pays
+// every lattice step exactly once however many spans the search takes,
+// and the readouts, hence the answer, do not depend on where the doubling
+// starts. When even kmax does not reach the target it returns an error
+// wrapping ErrTargetUnreachable. Callers validate their query first:
+// target in (0, 1) and kmax ≥ 1.
 func DepthSearch(extend func(k int) (*lattice.Curve, error), target float64, kmax int) (int, error) {
 	scanned := 0
 	var cv *lattice.Curve
-	for span := min(256, kmax); ; span = min(span*2, kmax) {
+	for span := min(depthSearchStart, kmax); ; span = min(span*2, kmax) {
 		var err error
 		if cv, err = extend(span); err != nil {
 			return 0, err
@@ -78,6 +82,10 @@ func DepthSearch(extend func(k int) (*lattice.Curve, error), target float64, kma
 	}
 	return 0, fmt.Errorf("%w: failure bound %.3g at k=%d still above target %.3g", ErrTargetUnreachable, cv.Upper(kmax), kmax, target)
 }
+
+// depthSearchStart is DepthSearch's first span: the lowest rung of the
+// exact chain's capacity ladder.
+const depthSearchStart = 16
 
 // CapForTarget returns a saturation cap making the upper bound's slack
 // negligible against a target probability: the chain escapes above level

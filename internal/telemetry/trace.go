@@ -80,11 +80,13 @@ var flagNameTab = []struct {
 // goroutines. A nil *Trace discards all recordings, so instrumented code
 // needs no call-site branches.
 //
-// Traces are allocated fresh per request and must never be pooled: a
-// hedged local compute runs under context.WithoutCancel and may keep
-// writing spans after the request handler has returned. Finish seals
-// the arena so those late writes drop instead of landing in a
-// recycled request.
+// Traces are allocated fresh per request and must never be pooled: the
+// loser of a cluster forward/hedge race outlives the request handler and
+// may keep writing spans after it has returned — a hedged local compute
+// runs its oracle query to completion, and a forward goroutine records
+// its attempt until it sees the cancelled context. Finish seals the
+// arena so those late writes drop instead of landing in a recycled
+// request.
 type Trace struct {
 	ID    string
 	start time.Time
@@ -145,9 +147,9 @@ func (t *Trace) flagNames() []string {
 
 // Finish seals the trace: records the end-to-end duration (first call
 // wins) and closes the span arena to new spans, so goroutines that
-// outlive the request — a hedged local compute under
-// context.WithoutCancel — cannot grow a trace the flight recorder may
-// already be serving. Returns the recorded duration.
+// outlive the request — the losing side of a cluster forward/hedge race
+// — cannot grow a trace the flight recorder may already be serving.
+// Returns the recorded duration.
 func (t *Trace) Finish() time.Duration {
 	if t == nil {
 		return 0
