@@ -47,15 +47,6 @@ func Build(w charstring.String) (*fork.Fork, error) {
 	return a.f, nil
 }
 
-// MustBuild is Build that panics on error, for tests and fixtures.
-func MustBuild(w charstring.String) *fork.Fork {
-	f, err := Build(w)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // Extension describes one planned conservative extension: grow Target's
 // tine by the adversarial PadLabels and finish with an honest vertex in the
 // upcoming slot. Gap = len(PadLabels).

@@ -97,7 +97,10 @@ func TestProposition1UpperBound(t *testing.T) {
 	law := charstring.MustParams(0.15, 0.3)
 	for trial := 0; trial < 40; trial++ {
 		w := law.Sample(rng, 24)
-		f := MustBuild(w)
+		f, err := Build(w)
+		if err != nil {
+			t.Fatal(err)
+		}
 		mutateWithAdversarialVertices(rng, f)
 		if !f.IsClosed() {
 			continue // mutation may open the fork; reach undefined then

@@ -68,9 +68,9 @@ func TestFeedBlockCandEquivalence(t *testing.T) {
 			for i := 0; i < n; i++ {
 				scalar.Feed(w[off+i])
 			}
-			if block.Len() != scalar.Len() || block.Walk() != scalar.Walk() || block.min != scalar.min {
+			if block.Len() != scalar.Len() || block.s != scalar.s || block.min != scalar.min {
 				t.Fatalf("trial %d off %d: state (t,s,min) block (%d,%d,%d) vs scalar (%d,%d,%d)",
-					trial, off, block.Len(), block.Walk(), block.min, scalar.Len(), scalar.Walk(), scalar.min)
+					trial, off, block.Len(), block.s, block.min, scalar.Len(), scalar.s, scalar.min)
 			}
 			bp, sp := block.Pending(), scalar.Pending()
 			if len(bp) != len(sp) {

@@ -108,53 +108,3 @@ func (sc *Scan) HasUVP(s int, consistentTies bool) bool {
 	}
 	return false
 }
-
-// FirstUVPInWindow returns the smallest slot c ∈ [from, to] certified to
-// have the UVP, or 0 when none exists in the window.
-func (sc *Scan) FirstUVPInWindow(from, to int, consistentTies bool) int {
-	from = max(from, 1)
-	to = min(to, sc.Len())
-	for c := from; c <= to; c++ {
-		if sc.HasUVP(c, consistentTies) {
-			return c
-		}
-	}
-	return 0
-}
-
-// SettledBy reports whether slot s is certified k-settled in w by a UVP slot
-// in the window [s, s+k−1] (Theorem 3/4 together with implication (1); by
-// Fact 2 a certificate at c ≤ s+k−1 suffices because every chain viable at
-// the onset of slot c+1 ≤ s+k passes through slot c).
-func (sc *Scan) SettledBy(s, k int, consistentTies bool) bool {
-	return sc.FirstUVPInWindow(s, s+k-1, consistentTies) != 0
-}
-
-// AnalyzeNaive classifies slots by checking every interval directly in
-// O(T²) per slot (O(T³) total). It exists to cross-validate Analyze and as
-// the ablation baseline for BenchmarkCatalanScan.
-func AnalyzeNaive(w charstring.String) *Scan {
-	sc := &Scan{w: w, left: make([]bool, len(w)), right: make([]bool, len(w))}
-	for s := 1; s <= len(w); s++ {
-		if !w[s-1].Honest() {
-			continue
-		}
-		left := true
-		for l := 1; l <= s; l++ {
-			if !w.IntervalHHHeavy(l, s) {
-				left = false
-				break
-			}
-		}
-		right := true
-		for r := s; r <= len(w); r++ {
-			if !w.IntervalHHHeavy(s, r) {
-				right = false
-				break
-			}
-		}
-		sc.left[s-1] = left
-		sc.right[s-1] = right
-	}
-	return sc
-}

@@ -38,6 +38,35 @@ func TestHandWorkedExample(t *testing.T) {
 	}
 }
 
+// analyzeNaive classifies slots by checking every interval directly in
+// O(T²) per slot (O(T³) total). It cross-validates Analyze and is the
+// ablation baseline for BenchmarkCatalanScan.
+func analyzeNaive(w charstring.String) *Scan {
+	sc := &Scan{w: w, left: make([]bool, len(w)), right: make([]bool, len(w))}
+	for s := 1; s <= len(w); s++ {
+		if !w[s-1].Honest() {
+			continue
+		}
+		left := true
+		for l := 1; l <= s; l++ {
+			if !w.IntervalHHHeavy(l, s) {
+				left = false
+				break
+			}
+		}
+		right := true
+		for r := s; r <= len(w); r++ {
+			if !w.IntervalHHHeavy(s, r) {
+				right = false
+				break
+			}
+		}
+		sc.left[s-1] = left
+		sc.right[s-1] = right
+	}
+	return sc
+}
+
 // TestScanMatchesNaive cross-validates the O(T) walk characterization
 // against the direct interval-counting definition.
 func TestScanMatchesNaive(t *testing.T) {
@@ -45,7 +74,7 @@ func TestScanMatchesNaive(t *testing.T) {
 	law := charstring.MustParams(0.15, 0.3)
 	for trial := 0; trial < 50; trial++ {
 		w := law.Sample(rng, 60)
-		fast, slow := Analyze(w), AnalyzeNaive(w)
+		fast, slow := Analyze(w), analyzeNaive(w)
 		for s := 1; s <= len(w); s++ {
 			if fast.LeftCatalan(s) != slow.LeftCatalan(s) || fast.RightCatalan(s) != slow.RightCatalan(s) {
 				t.Fatalf("mismatch at slot %d of %v: fast (%v,%v) naive (%v,%v)",
@@ -58,6 +87,26 @@ func TestScanMatchesNaive(t *testing.T) {
 // TestTheorem3EquivalenceWithLemma1 is the paper's central equivalence: a
 // uniquely honest slot is Catalan iff it has the UVP, where the UVP is
 // independently decided by the Lemma 1 relative-margin characterization.
+// lemma1UVP reports whether slot s has the Unique Vertex Property in w via
+// the Lemma 1 characterization: w_s = h and µ_x(y) < 0 for every strict
+// extension y (|y| ≥ 1) of the decomposition w = x y z with |x| = s − 1.
+// Lemma 1 characterizes the UVP only for uniquely honest slots, so it
+// returns false for any other symbol at s.
+func lemma1UVP(w charstring.String, s int) bool {
+	if s < 1 || s > len(w) || w[s-1] != charstring.UniqueHonest {
+		return false
+	}
+	rho := margin.Rho(w[:s-1])
+	mu := rho
+	for _, sym := range w[s-1:] {
+		rho, mu = margin.StepMu(rho, mu, sym)
+		if mu >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func TestTheorem3EquivalenceWithLemma1(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	laws := []charstring.Params{
@@ -75,9 +124,9 @@ func TestTheorem3EquivalenceWithLemma1(t *testing.T) {
 					continue
 				}
 				checked++
-				if sc.Catalan(s) != margin.HasUVP(w, s) {
+				if sc.Catalan(s) != lemma1UVP(w, s) {
 					t.Fatalf("Theorem 3 violated at slot %d of %v: Catalan=%v margin-UVP=%v",
-						s, w, sc.Catalan(s), margin.HasUVP(w, s))
+						s, w, sc.Catalan(s), lemma1UVP(w, s))
 				}
 			}
 		}
@@ -149,23 +198,17 @@ func TestMonotoneCatalan(t *testing.T) {
 	}
 }
 
-// TestSettledByWindow: SettledBy must find the first UVP certificate and
-// respect the window boundary.
+// TestSettledByWindow: a slot is certified k-settled by a UVP slot in the
+// window [s, s+k−1] (Theorem 3 with implication (1)). In hhAhh the
+// certificates are exactly slots 1 and 5, so slot 1 is settled by its own
+// UVP, window [2,3] certifies nothing and window [2,5] reaches slot 5.
 func TestSettledByWindow(t *testing.T) {
-	// hhAhh: Catalan at 1 and 5; both uniquely honest → UVP at both.
 	w := charstring.MustParse("hhAhh")
 	sc := Analyze(w)
-	if !sc.SettledBy(1, 1, false) {
-		t.Error("slot 1 should be settled by its own UVP")
-	}
-	if sc.SettledBy(2, 2, false) { // window [2,3]: no UVP slot
-		t.Error("slot 2 should not be certified by window [2,3]")
-	}
-	if !sc.SettledBy(2, 4, false) { // window [2,5] includes 5
-		t.Error("slot 2 should be certified by window [2,5]")
-	}
-	if got := sc.FirstUVPInWindow(1, 5, false); got != 1 {
-		t.Errorf("FirstUVPInWindow = %d, want 1", got)
+	for s := 1; s <= len(w); s++ {
+		if want := s == 1 || s == 5; sc.HasUVP(s, false) != want {
+			t.Errorf("UVP certificate at slot %d = %v, want %v", s, !want, want)
+		}
 	}
 }
 
@@ -199,7 +242,7 @@ func BenchmarkCatalanScan(b *testing.B) {
 	b.Run("naive-O(T^3)", func(b *testing.B) {
 		small := w[:300]
 		for i := 0; i < b.N; i++ {
-			AnalyzeNaive(small)
+			analyzeNaive(small)
 		}
 	})
 }

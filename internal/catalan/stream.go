@@ -181,22 +181,8 @@ func (st *Stream) FeedBlockCand(aMask, candMask, uhMask uint64, n int) {
 	st.s, st.min, st.t = s, mn, st.t+n
 }
 
-// CopyFrom overwrites st with a snapshot of src, reusing st's candidate
-// capacity. The Filter is shared, not cloned: filters are stateless
-// configuration by contract. It exists for the splitting engine of
-// package rare, which clones mid-string scanner states when particles are
-// resampled at a level crossing.
-func (st *Stream) CopyFrom(src *Stream) {
-	st.Filter = src.Filter
-	st.t, st.s, st.min = src.t, src.s, src.min
-	st.cand = append(st.cand[:0], src.cand...)
-}
-
 // Len returns the number of symbols consumed.
 func (st *Stream) Len() int { return st.t }
-
-// Walk returns the current walk value S_t.
-func (st *Stream) Walk() int { return st.s }
 
 // Pending returns the alive candidates in increasing slot order. The slice
 // aliases internal scratch: it is valid until the next Feed or Reset and

@@ -135,8 +135,8 @@ func TestStreamWalkAccessors(t *testing.T) {
 	tr := w.Walks()
 	for i, sym := range w {
 		st.Feed(sym)
-		if st.Len() != i+1 || st.Walk() != tr[i+1] {
-			t.Fatalf("after %d symbols: Len=%d Walk=%d, want %d %d", i+1, st.Len(), st.Walk(), i+1, tr[i+1])
+		if st.Len() != i+1 || st.s != tr[i+1] {
+			t.Fatalf("after %d symbols: Len=%d Walk=%d, want %d %d", i+1, st.Len(), st.s, i+1, tr[i+1])
 		}
 	}
 	// Slot 1 (h, record low) was killed by the A-run; slot 6 is the only

@@ -140,28 +140,6 @@ func VerifyBlock(b *Block, keys *Keyring, elig Eligibility, parent *Block) error
 	return nil
 }
 
-// ChainTo returns the blocks from genesis to b inclusive.
-func ChainTo(b *Block) []*Block {
-	out := make([]*Block, b.depth+1)
-	for b != nil {
-		out[b.depth] = b
-		b = b.parent
-	}
-	return out
-}
-
-// BlockAtSlot returns the unique block with the given slot on b's chain,
-// or nil when the chain skips that slot.
-func BlockAtSlot(b *Block, slot int) *Block {
-	for b != nil && b.Slot > slot {
-		b = b.parent
-	}
-	if b != nil && b.Slot == slot {
-		return b
-	}
-	return nil
-}
-
 // CommonAncestor returns the deepest block on both chains.
 func CommonAncestor(a, b *Block) *Block {
 	for a.depth > b.depth {
@@ -177,18 +155,12 @@ func CommonAncestor(a, b *Block) *Block {
 	return a
 }
 
-// DivergePriorTo reports whether the chains of a and b diverge prior to
-// slot s in the narrow sense of Definition 3: they contain different blocks
-// labeled s, or exactly one of them contains a block labeled s.
-func DivergePriorTo(a, b *Block, s int) bool {
-	return BlockAtSlot(a, s) != BlockAtSlot(b, s)
-}
-
 // DisjointBefore reports whether two distinct chains share no block issued
 // at or after slot s: their last common block is labeled ≤ s−1. This is the
 // divergence notion of the x-balanced-fork framework (Definition 18 /
-// Observation 2), which the relative-margin calculus characterizes; it is
-// implied by, and slightly wider than, DivergePriorTo.
+// Observation 2), which the relative-margin calculus characterizes. It is
+// implied by, and slightly wider than, divergence prior to s in the narrow
+// sense of Definition 3 (different blocks labeled s on the two chains).
 func DisjointBefore(a, b *Block, s int) bool {
 	return a != b && CommonAncestor(a, b).Slot < s
 }

@@ -68,7 +68,10 @@ func TestMarginStrategyRealizesAStarMargins(t *testing.T) {
 		w := sim.Characteristic()
 		realized := forkFromBlocks(t, sim, w)
 
-		canon := adversary.MustBuild(w)
+		canon, err := adversary.Build(w)
+		if err != nil {
+			t.Fatalf("trial %d: A*: %v", trial, err)
+		}
 		canonMargins, err := canon.RelativeMarginsAllPrefixes()
 		if err != nil {
 			t.Fatalf("trial %d: canonical margins: %v", trial, err)

@@ -182,17 +182,11 @@ func NewSim(cfg Config) (*Sim, error) {
 // Genesis returns the genesis block.
 func (s *Sim) Genesis() *Block { return s.genesis }
 
-// Keys exposes the keyring (the adversary signs with its parties' keys).
-func (s *Sim) Keys() *Keyring { return s.cfg.Keys }
-
 // Schedule returns the public leader schedule.
 func (s *Sim) Schedule() *leader.Schedule { return s.cfg.Schedule }
 
 // Nodes returns the honest nodes.
 func (s *Sim) Nodes() []*Node { return s.nodes }
-
-// Node returns the honest node with the given party ID, nil if absent.
-func (s *Sim) Node(id int) *Node { return s.nodeByID[id] }
 
 // Slot returns the current slot (0 before Run starts).
 func (s *Sim) Slot() int { return s.slot }
@@ -376,20 +370,6 @@ func (s *Sim) SettlementViolated(target int) bool {
 	for i := 0; i < len(tips); i++ {
 		for j := i + 1; j < len(tips); j++ {
 			if DisjointBefore(tips[i], tips[j], target) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// HonestTipsDiverged reports whether two honest nodes currently hold
-// adopted chains whose histories are disjoint before slot target — a
-// realized consistency failure among honest parties.
-func (s *Sim) HonestTipsDiverged(target int) bool {
-	for i := 0; i < len(s.nodes); i++ {
-		for j := i + 1; j < len(s.nodes); j++ {
-			if DisjointBefore(s.nodes[i].Tip(), s.nodes[j].Tip(), target) {
 				return true
 			}
 		}

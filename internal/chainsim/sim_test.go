@@ -2,6 +2,7 @@ package chainsim
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestNullStrategyLiveness(t *testing.T) {
 	if d := tips[0].Tip().Depth(); d < 150 {
 		t.Fatalf("chain too short: %d after 200 slots", d)
 	}
-	if sim.HonestTipsDiverged(100) {
+	if honestTipsDiverged(sim, 100) {
 		t.Fatal("unexpected divergence under null strategy")
 	}
 }
@@ -65,7 +66,7 @@ func TestMarginStrategyMatchesMarginRecurrence(t *testing.T) {
 			t.Fatalf("trial %d: strategy error: %v", trial, err)
 		}
 		w := sim.Characteristic()
-		want := margin.ViolationAtHorizon(w, s, k)
+		want := violationAtHorizon(w, s, k)
 		got, err := strat.ViolationPresentable(sim, s)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -77,7 +78,7 @@ func TestMarginStrategyMatchesMarginRecurrence(t *testing.T) {
 			agreeViolated++
 			// The presented chains were adopted: honest nodes now disagree
 			// about slot s, and the global block fork witnesses it.
-			if !sim.HonestTipsDiverged(s) {
+			if !honestTipsDiverged(sim, s) {
 				t.Fatalf("trial %d: violation presented but honest tips agree", trial)
 			}
 			if !sim.SettlementViolated(s) {
@@ -105,7 +106,7 @@ func TestMarginStrategyForkIsCanonical(t *testing.T) {
 	if err := strat.Err(); err != nil {
 		t.Fatal(err)
 	}
-	f := strat.Fork()
+	f := strat.astar.Fork()
 	if err := f.Validate(); err != nil {
 		t.Fatalf("mirrored fork invalid: %v", err)
 	}
@@ -155,7 +156,7 @@ func TestPrivateChainWeakerThanMargin(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := sim.Characteristic()
-		abstract := margin.ViolationAtHorizon(w, s, k)
+		abstract := violationAtHorizon(w, s, k)
 		if strat.Succeeded(sim) {
 			pcWins++
 			if !abstract {
@@ -267,3 +268,43 @@ func TestForceAdoptGuards(t *testing.T) {
 		t.Fatal("ForceAdopt must be rejected under consistent ties")
 	}
 }
+
+// violationAtHorizon reports whether µ_x(y) ≥ 0 for the decomposition with
+// |x| = s−1 and |y| = k, i.e. whether slot s incurs a k-settlement
+// violation at exactly horizon k.
+func violationAtHorizon(w charstring.String, s, k int) bool {
+	return margin.RelativeMargin(w[:s-1+k], s-1) >= 0
+}
+
+// honestTipsDiverged reports whether two honest nodes currently hold
+// adopted chains whose histories are disjoint before slot target — a
+// realized consistency failure among honest parties.
+func honestTipsDiverged(s *Sim, target int) bool {
+	for i := 0; i < len(s.nodes); i++ {
+		for j := i + 1; j < len(s.nodes); j++ {
+			if DisjointBefore(s.nodes[i].Tip(), s.nodes[j].Tip(), target) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// DelayStrategy exercises the Δ-synchronous network: every honest block is
+// delayed by the full Δ to every recipient, maximizing the chance that
+// concurrent honest leaders build on stale tips. Adversarial leaders play
+// honestly.
+type DelayStrategy struct {
+	NullStrategy
+	Delta int
+}
+
+// Name implements Strategy.
+func (d *DelayStrategy) Name() string { return fmt.Sprintf("max-delay(Δ=%d)", d.Delta) }
+
+// OnHonestBlock implements Strategy: schedule delivery at the Δ bound.
+func (d *DelayStrategy) OnHonestBlock(sim *Sim, b *Block) {
+	sim.Broadcast(b, d.Delta)
+}
+
+var _ Strategy = (*DelayStrategy)(nil)

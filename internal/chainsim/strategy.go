@@ -86,9 +86,6 @@ func (p *PrivateChainStrategy) OnAdversarialSlot(sim *Sim, slot int, leaders []i
 	p.private = sim.MintAdversarial(leaders[0], slot, p.private, payload[:])
 }
 
-// PrivateTip returns the private fork's tip (nil before the attack starts).
-func (p *PrivateChainStrategy) PrivateTip() *Block { return p.private }
-
 // Succeeded reports whether the private fork currently matches the best
 // honest chain in length while diverging prior to the target slot: the
 // adversary can present it and unsettle the target.
@@ -150,9 +147,6 @@ func (m *MarginStrategy) OnAdversarialSlot(*Sim, int, []int) {}
 // engine has no error channel for strategies, so callers check it after
 // Run.
 func (m *MarginStrategy) Err() error { return m.err }
-
-// Fork returns the abstract canonical fork mirrored so far.
-func (m *MarginStrategy) Fork() *fork.Fork { return m.astar.Fork() }
 
 func (m *MarginStrategy) fail(err error) {
 	if m.err == nil {
@@ -445,22 +439,3 @@ func witnessPairNonNegative(f *fork.Fork, rs []fork.Reach, xlen int) (*fork.Vert
 }
 
 var _ Strategy = (*MarginStrategy)(nil)
-
-// DelayStrategy exercises the Δ-synchronous network: every honest block is
-// delayed by the full Δ to every recipient, maximizing the chance that
-// concurrent honest leaders build on stale tips. Adversarial leaders play
-// honestly.
-type DelayStrategy struct {
-	NullStrategy
-	Delta int
-}
-
-// Name implements Strategy.
-func (d *DelayStrategy) Name() string { return fmt.Sprintf("max-delay(Δ=%d)", d.Delta) }
-
-// OnHonestBlock implements Strategy: schedule delivery at the Δ bound.
-func (d *DelayStrategy) OnHonestBlock(sim *Sim, b *Block) {
-	sim.Broadcast(b, d.Delta)
-}
-
-var _ Strategy = (*DelayStrategy)(nil)

@@ -307,11 +307,3 @@ func (w String) Relax() String {
 	}
 	return c
 }
-
-// Concat returns the concatenation w‖v as a fresh string.
-func Concat(w, v String) String {
-	c := make(String, 0, len(w)+len(v))
-	c = append(c, w...)
-	c = append(c, v...)
-	return c
-}

@@ -156,12 +156,53 @@ func TestLeqTransitive(t *testing.T) {
 	}
 }
 
+// adaptiveSampler draws characteristic strings whose symbols need not be
+// independent: at each slot the conditional adversarial probability may
+// depend on the history but is bounded by pA, and conditioned on the slot
+// being honest the probability of unique honesty is at least ph/(1−pA′)
+// for the realized adversarial mass pA′.
+//
+// Such martingale-type laws are stochastically dominated by the
+// (ǫ, ph)-Bernoulli law (Definition 6), so every bound proved for the
+// Bernoulli law transfers (Theorem 1, second part). TestAdaptiveDominance
+// exercises exactly that transfer: Decide is an arbitrary policy.
+type adaptiveSampler struct {
+	Base Params
+	// Decide returns the conditional law for slot t given the history
+	// prefix. The returned law must be dominated by Base's per-slot law:
+	// pA′ ≤ pA and pA′ + pH′ ≤ pA + pH. Decide may be nil, in which case
+	// the base law is used unchanged.
+	Decide func(prefix String) (ph, pH, pA float64)
+}
+
+// Sample draws a length-T string under the adaptive law.
+func (a adaptiveSampler) Sample(rng *rand.Rand, T int) String {
+	w := make(String, 0, T)
+	for t := 0; t < T; t++ {
+		ph, pH, pA := a.Base.Probabilities()
+		if a.Decide != nil {
+			ph, pH, pA = a.Decide(w)
+		}
+		u := rng.Float64()
+		switch {
+		case u < pA:
+			w = append(w, Adversarial)
+		case u < pA+ph:
+			w = append(w, UniqueHonest)
+		default:
+			_ = pH
+			w = append(w, MultiHonest)
+		}
+	}
+	return w
+}
+
 // TestAdaptiveDominance: an adaptive sampler that never exceeds the base
 // adversarial rate produces strings whose adversarial count is
 // stochastically dominated by the base law's.
 func TestAdaptiveDominance(t *testing.T) {
 	base := MustParams(0.2, 0.3)
-	ad := AdaptiveSampler{
+	ad := adaptiveSampler{
 		Base: base,
 		Decide: func(prefix String) (float64, float64, float64) {
 			// Less adversarial in even positions.

@@ -48,8 +48,9 @@ func ParamsFromAlpha(alpha, ph float64) (Params, error) {
 	return NewParams(1-2*alpha, ph)
 }
 
-// PA returns pA = (1−ǫ)/2.
-func (p Params) PA() float64 { return (1 - p.Epsilon) / 2 }
+// PA returns pA = (1−ǫ)/2. The conversion keeps the halving, which the
+// compiler turns into a product, from fusing into a caller's sum (PH).
+func (p Params) PA() float64 { return float64((1 - p.Epsilon) / 2) }
 
 // PH returns pH = 1 − pA − ph.
 func (p Params) PH() float64 { return 1 - p.PA() - p.Ph }
@@ -65,10 +66,6 @@ func (p Params) Q() float64 { return (1 + p.Epsilon) / 2 }
 // Beta returns β = (1−ǫ)/(1+ǫ) = pA/q, the geometric ratio of the dominating
 // stationary reach law X∞ (Eq. 9).
 func (p Params) Beta() float64 { return (1 - p.Epsilon) / (1 + p.Epsilon) }
-
-// Bivalent reports whether ph = 0, i.e. whether samples are bivalent {H,A}
-// strings (the Theorem 2 regime).
-func (p Params) Bivalent() bool { return p.Ph == 0 }
 
 // Sample draws a length-T characteristic string satisfying the
 // (ǫ, ph)-Bernoulli condition using the supplied source.
@@ -88,20 +85,6 @@ func (p Params) Sample(rng *rand.Rand, T int) String {
 		}
 	}
 	return w
-}
-
-// SampleSymbol draws a single symbol under the per-slot law.
-func (p Params) SampleSymbol(rng *rand.Rand) Symbol {
-	u := rng.Float64()
-	pA := p.PA()
-	switch {
-	case u < pA:
-		return Adversarial
-	case u < pA+p.Ph:
-		return UniqueHonest
-	default:
-		return MultiHonest
-	}
 }
 
 // threshold converts a probability into a raw-uint64 cumulative cut: a
@@ -244,46 +227,4 @@ func (t SemiSyncThresholds) Symbol(u uint64) Symbol {
 		return UniqueHonest
 	}
 	return MultiHonest
-}
-
-// AdaptiveSampler draws characteristic strings whose symbols need not be
-// independent: at each slot the conditional adversarial probability may
-// depend on the history but is bounded by pA, and conditioned on the slot
-// being honest the probability of unique honesty is at least ph/(1−pA′)
-// for the realized adversarial mass pA′.
-//
-// Such martingale-type laws are stochastically dominated by the
-// (ǫ, ph)-Bernoulli law (Definition 6), so every bound proved for the
-// Bernoulli law transfers (Theorem 1, second part). AdaptiveSampler exists
-// to exercise exactly that transfer in tests: Decide is an arbitrary
-// caller-supplied policy.
-type AdaptiveSampler struct {
-	Base Params
-	// Decide returns the conditional law for slot t given the history
-	// prefix. The returned law must be dominated by Base's per-slot law:
-	// pA′ ≤ pA and pA′ + pH′ ≤ pA + pH. Decide may be nil, in which case
-	// the base law is used unchanged.
-	Decide func(prefix String) (ph, pH, pA float64)
-}
-
-// Sample draws a length-T string under the adaptive law.
-func (a AdaptiveSampler) Sample(rng *rand.Rand, T int) String {
-	w := make(String, 0, T)
-	for t := 0; t < T; t++ {
-		ph, pH, pA := a.Base.Probabilities()
-		if a.Decide != nil {
-			ph, pH, pA = a.Decide(w)
-		}
-		u := rng.Float64()
-		switch {
-		case u < pA:
-			w = append(w, Adversarial)
-		case u < pA+ph:
-			w = append(w, UniqueHonest)
-		default:
-			_ = pH
-			w = append(w, MultiHonest)
-		}
-	}
-	return w
 }

@@ -1,7 +1,7 @@
 // Package cp implements the common-prefix analysis of Section 9 of the
-// paper: the slot-indexed property k-CP^slot (Definition 24), its
-// UVP-window characterization (implication 25), the Theorem 8 union bound,
-// and the slot-divergence route of Appendix A.
+// paper: the slot-indexed property k-CP^slot (Definition 24) and its
+// UVP-window characterization (implication 25), the event that Theorem 8
+// bounds.
 //
 // A k-CP violation (truncating k blocks) implies a k-CP^slot violation
 // (truncating k slots), so bounding the latter rules out both.
@@ -10,7 +10,6 @@ package cp
 import (
 	"multihonest/internal/catalan"
 	"multihonest/internal/charstring"
-	"multihonest/internal/margin"
 )
 
 // UVPFreeWindow returns the length of the longest window of w that
@@ -42,35 +41,4 @@ func UVPFreeWindow(w charstring.String, consistentTies bool) int {
 // fork for w violates k-CP^slot.
 func ViolationPossible(w charstring.String, k int, consistentTies bool) bool {
 	return UVPFreeWindow(w, consistentTies) >= k
-}
-
-// UVPFreeWindowExact computes the longest UVP-free window using the exact
-// Lemma 1 margin characterization for uniquely honest slots (O(T²) instead
-// of the O(T) Catalan certificate, but exact for adversarial
-// tie-breaking). With adversarial ties the two agree by Theorem 3; the
-// duplication exists to cross-validate that equivalence in tests.
-func UVPFreeWindowExact(w charstring.String) int {
-	longest, last := 0, 0
-	for s := 1; s <= len(w); s++ {
-		if margin.HasUVP(w, s) {
-			longest = max(longest, s-last-1)
-			last = s
-		}
-	}
-	return max(longest, len(w)-last)
-}
-
-// SomeSlotUnsettled reports whether any slot of w fails to be k-settled in
-// the margin sense (Observation 2 with Fact 6): whether there exists a
-// decomposition w = xyz with |y| ≥ k+1 and µ_x(y) ≥ 0. This is the union
-// event over s that Theorem 8's proof bounds by T·e^{−Ω(k)}, and it is the
-// route through which slot divergence exceeding k (Appendix A, Theorem 9)
-// manifests.
-func SomeSlotUnsettled(w charstring.String, k int) bool {
-	for s := 1; s+k <= len(w); s++ {
-		if margin.SettlementViolated(w, s, k) {
-			return true
-		}
-	}
-	return false
 }

@@ -5,7 +5,51 @@ import (
 	"testing"
 
 	"multihonest/internal/charstring"
+	"multihonest/internal/margin"
 )
+
+// uvpFreeWindowExact computes the longest UVP-free window using the exact
+// Lemma 1 margin characterization for uniquely honest slots: slot s has
+// the UVP iff w_s = h and µ_x(y) < 0 for every y with |y| ≥ 1 and
+// |x| = s − 1. It is O(T²) where UVPFreeWindow's Catalan certificate is
+// O(T), and it agrees with UVPFreeWindow under adversarial ties by
+// Theorem 3.
+func uvpFreeWindowExact(w charstring.String) int {
+	hasUVP := func(s int) bool {
+		if w[s-1] != charstring.UniqueHonest {
+			return false
+		}
+		rho := margin.Rho(w[:s-1])
+		mu := rho
+		for _, sym := range w[s-1:] {
+			if rho, mu = margin.StepMu(rho, mu, sym); mu >= 0 {
+				return false
+			}
+		}
+		return true
+	}
+	longest, last := 0, 0
+	for s := 1; s <= len(w); s++ {
+		if hasUVP(s) {
+			longest = max(longest, s-last-1)
+			last = s
+		}
+	}
+	return max(longest, len(w)-last)
+}
+
+// someSlotUnsettled reports whether any slot of w fails to be k-settled in
+// the margin sense (Observation 2 with Fact 6): whether there exists a
+// decomposition w = xyz with |y| ≥ k+1 and µ_x(y) ≥ 0. This is the union
+// event over s that Theorem 8's proof bounds by T·e^{−Ω(k)}.
+func someSlotUnsettled(w charstring.String, k int) bool {
+	for s := 1; s+k <= len(w); s++ {
+		if margin.SettlementViolated(w, s, k) {
+			return true
+		}
+	}
+	return false
+}
 
 func TestUVPFreeWindow(t *testing.T) {
 	// hhhhh: every slot uniquely honest Catalan? Walk strictly decreasing →
@@ -34,7 +78,7 @@ func TestExactMatchesCatalan(t *testing.T) {
 	law := charstring.MustParams(0.2, 0.35)
 	for trial := 0; trial < 40; trial++ {
 		w := law.Sample(rng, 60)
-		if a, b := UVPFreeWindow(w, false), UVPFreeWindowExact(w); a != b {
+		if a, b := UVPFreeWindow(w, false), uvpFreeWindowExact(w); a != b {
 			t.Fatalf("window mismatch for %v: catalan %d, margin %d", w, a, b)
 		}
 	}
@@ -83,7 +127,7 @@ func TestSomeSlotUnsettledImpliedByGap(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		w := law.Sample(rng, 50)
 		k := 4 + rng.Intn(8)
-		if SomeSlotUnsettled(w, k) && UVPFreeWindow(w, false) < k {
+		if someSlotUnsettled(w, k) && UVPFreeWindow(w, false) < k {
 			t.Fatalf("violation at k=%d with UVP gap %d in %v", k, UVPFreeWindow(w, false), w)
 		}
 	}

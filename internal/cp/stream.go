@@ -51,14 +51,6 @@ func (ws *WindowStream) Feed(sym charstring.Symbol) {
 	}
 }
 
-// CopyFrom overwrites ws with a snapshot of src, reusing scratch capacity
-// (see catalan.Stream.CopyFrom; used by the rare splitting engine).
-func (ws *WindowStream) CopyFrom(src *WindowStream) {
-	ws.ConsistentTies = src.ConsistentTies
-	ws.st.CopyFrom(&src.st)
-	ws.best = src.best
-}
-
 // Len returns the number of symbols consumed.
 func (ws *WindowStream) Len() int { return ws.st.Len() }
 

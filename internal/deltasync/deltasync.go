@@ -82,7 +82,7 @@ func quietAfter(w charstring.String, i, delta int) bool {
 // slot honest when the next Δ slots are merely free of honest leaders
 // ({⊥, A}^Δ). The Eq. (22) law is therefore a conservative (stochastically
 // more adversarial) description of Reduce's output — the safe direction
-// for Theorem 7's bound. InducedParamsExact gives Reduce's exact law.
+// for Theorem 7's bound.
 func InducedParams(s charstring.SemiSyncParams, delta int) (ph, pH, pA float64) {
 	f := s.ActiveRate()
 	beta := math.Pow(1-f, float64(delta))
@@ -92,34 +92,14 @@ func InducedParams(s charstring.SemiSyncParams, delta int) (ph, pH, pA float64) 
 	return ph, pH, pA
 }
 
-// InducedParamsExact returns the exact i.i.d. law of the symbols produced
-// by Reduce (Definition 22), away from the distorted trailing Δ symbols:
-// an honest slot survives exactly when the next Δ slots carry no honest
-// leader, which happens with probability β′ = (p⊥ + pA)^Δ ≥ (1−f)^Δ.
-func InducedParamsExact(s charstring.SemiSyncParams, delta int) (ph, pH, pA float64) {
-	f := s.ActiveRate()
-	betaP := math.Pow(s.PEmpty+s.PA, float64(delta))
-	ph = s.Ph * betaP / f
-	pH = s.PH * betaP / f
-	pA = 1 - ph - pH
-	return ph, pH, pA
-}
-
-// Condition20 reports whether the Theorem 7 parameter condition
+// MaxEpsilon returns the largest ǫ for which the Theorem 7 parameter
+// condition (20)
 //
 //	pA·β/f + (1 − β) ≤ (1 − ǫ)/2,  β = (1−f)^Δ,
 //
-// holds, i.e. whether the reduced string satisfies the (ǫ, ·)-Bernoulli
-// condition with honest advantage ǫ.
-func Condition20(s charstring.SemiSyncParams, delta int, epsilon float64) bool {
-	f := s.ActiveRate()
-	beta := math.Pow(1-f, float64(delta))
-	return s.PA*beta/f+(1-beta) <= (1-epsilon)/2+1e-15
-}
-
-// MaxEpsilon returns the largest ǫ for which Condition20 holds
-// (possibly ≤ 0, meaning the delay swamps the honest advantage):
-// ǫ = 1 − 2(pA·β/f + 1 − β).
+// holds, i.e. the largest honest advantage ǫ with which the reduced string
+// satisfies the (ǫ, ·)-Bernoulli condition: ǫ = 1 − 2(pA·β/f + 1 − β).
+// It is ≤ 0 when the delay swamps the honest advantage.
 func MaxEpsilon(s charstring.SemiSyncParams, delta int) float64 {
 	f := s.ActiveRate()
 	beta := math.Pow(1-f, float64(delta))

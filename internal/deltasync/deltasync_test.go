@@ -55,6 +55,19 @@ func TestReduceTrailingDistortion(t *testing.T) {
 	}
 }
 
+// inducedParamsExact returns the exact i.i.d. law of the symbols produced
+// by Reduce (Definition 22), away from the distorted trailing Δ symbols:
+// an honest slot survives exactly when the next Δ slots carry no honest
+// leader, which happens with probability β′ = (p⊥ + pA)^Δ ≥ (1−f)^Δ.
+func inducedParamsExact(s charstring.SemiSyncParams, delta int) (ph, pH, pA float64) {
+	f := s.ActiveRate()
+	betaP := math.Pow(s.PEmpty+s.PA, float64(delta))
+	ph = s.Ph * betaP / f
+	pH = s.PH * betaP / f
+	pA = 1 - ph - pH
+	return ph, pH, pA
+}
+
 // TestInducedParamsMatchEmpirical: Proposition 4's law (22) matches
 // simulated reductions (excluding the distorted tail).
 func TestInducedParamsMatchEmpirical(t *testing.T) {
@@ -63,7 +76,7 @@ func TestInducedParamsMatchEmpirical(t *testing.T) {
 		t.Fatal(err)
 	}
 	const delta = 3
-	ph, pH, pA := InducedParamsExact(sp, delta)
+	ph, pH, pA := inducedParamsExact(sp, delta)
 	if s := ph + pH + pA; math.Abs(s-1) > 1e-12 {
 		t.Fatalf("induced law sums to %v", s)
 	}
@@ -104,8 +117,8 @@ func TestInducedParamsMatchEmpirical(t *testing.T) {
 
 func TestCondition20(t *testing.T) {
 	sp, _ := charstring.NewSemiSyncParams(0.9, 0.04, 0.03, 0.03)
-	if !Condition20(sp, 2, 0.1) {
-		t.Error("condition (20) should hold for mild delay and low adversarial stake")
+	if eps := MaxEpsilon(sp, 2); eps < 0.1 {
+		t.Errorf("condition (20) should hold at ǫ = 0.1 for mild delay and low adversarial stake: max ǫ = %v", eps)
 	}
 	if eps := MaxEpsilon(sp, 2); eps <= 0 {
 		t.Errorf("max ǫ = %v should be positive", eps)

@@ -184,9 +184,6 @@ func (st *SettledStream) CopyFrom(src *SettledStream) {
 	st.err = src.err
 }
 
-// RawLen returns the number of raw symbols consumed.
-func (st *SettledStream) RawLen() int { return st.rs.raw }
-
 // ReducedLen returns the number of reduced symbols emitted so far.
 func (st *SettledStream) ReducedLen() int { return st.ri }
 

@@ -1,31 +1,13 @@
-// Package faultfs is the fault-injection seam of the persistence and
-// replication tier: a minimal filesystem interface the snapshot code
-// writes through, plus deterministic fault-injecting implementations of
-// it and of http.RoundTripper.
-//
-// Production code uses OS (a thin wrapper over package os). Chaos tests
-// substitute Flaky — which can fail a write after a byte budget (a crash
-// mid-checkpoint), fail renames and syncs, and flip bits on reads — and
-// wrap peer HTTP clients in Transport, which injects request drops,
-// latency spikes, and error bursts from a seeded stream. Every injected
-// failure is ErrInjected, so tests can tell injected faults from real
-// ones, and every injector is deterministic given its configuration: a
-// failing chaos test replays.
+// Package faultfs is the filesystem seam of the persistence tier: the
+// minimal interface the snapshot code writes through. Production code
+// uses OS, a thin wrapper over package os; internal/oracle's tests
+// substitute a fault-injecting implementation.
 package faultfs
 
 import (
-	"errors"
-	"fmt"
 	"io"
-	"math/rand"
-	"net/http"
 	"os"
-	"sync"
-	"time"
 )
-
-// ErrInjected marks every fault this package injects.
-var ErrInjected = errors.New("faultfs: injected fault")
 
 // File is the write handle the snapshot writer needs: sequential writes,
 // durability, close.
@@ -67,267 +49,4 @@ func (osFS) SyncDir(dir string) error {
 	}
 	defer d.Close()
 	return d.Sync()
-}
-
-// Flaky wraps an FS with a deterministic fault plan. The zero plan
-// injects nothing; each knob arms one failure mode. Flaky is safe for
-// concurrent use.
-type Flaky struct {
-	Inner FS
-
-	mu sync.Mutex
-	// writeBudget is the number of bytes Create'd files may still write
-	// before every further write fails (−1 = unlimited). A crashing
-	// checkpointer is writeBudget = n: the temp file is left behind,
-	// truncated mid-section.
-	writeBudget int64
-	unlimited   bool
-	failRenames int // next n renames fail
-	failSyncs   int // next n file/dir syncs fail
-	failCreates int // next n creates fail
-	// flipOffset/flipMask corrupt reads: the byte at flipOffset of every
-	// opened file is XORed with flipMask (mask 0 = disabled).
-	flipOffset int64
-	flipMask   byte
-}
-
-// NewFlaky returns a Flaky over inner with no faults armed.
-func NewFlaky(inner FS) *Flaky {
-	return &Flaky{Inner: inner, unlimited: true}
-}
-
-// LimitWriteBytes arms the short-write fault: after n more bytes are
-// written (across all files created from now on), every write fails with
-// ErrInjected.
-func (f *Flaky) LimitWriteBytes(n int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.writeBudget, f.unlimited = n, false
-}
-
-// FailRenames arms the next n renames to fail.
-func (f *Flaky) FailRenames(n int) { f.mu.Lock(); f.failRenames = n; f.mu.Unlock() }
-
-// FailSyncs arms the next n syncs (file or directory) to fail.
-func (f *Flaky) FailSyncs(n int) { f.mu.Lock(); f.failSyncs = n; f.mu.Unlock() }
-
-// FailCreates arms the next n creates to fail.
-func (f *Flaky) FailCreates(n int) { f.mu.Lock(); f.failCreates = n; f.mu.Unlock() }
-
-// FlipByte arms read corruption: the byte at offset of every opened file
-// is XORed with mask.
-func (f *Flaky) FlipByte(offset int64, mask byte) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.flipOffset, f.flipMask = offset, mask
-}
-
-func (f *Flaky) Create(name string) (File, error) {
-	f.mu.Lock()
-	fail := f.failCreates > 0
-	if fail {
-		f.failCreates--
-	}
-	f.mu.Unlock()
-	if fail {
-		return nil, fmt.Errorf("create %s: %w", name, ErrInjected)
-	}
-	inner, err := f.Inner.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &flakyFile{File: inner, fs: f}, nil
-}
-
-func (f *Flaky) Rename(oldpath, newpath string) error {
-	f.mu.Lock()
-	fail := f.failRenames > 0
-	if fail {
-		f.failRenames--
-	}
-	f.mu.Unlock()
-	if fail {
-		return fmt.Errorf("rename %s: %w", oldpath, ErrInjected)
-	}
-	return f.Inner.Rename(oldpath, newpath)
-}
-
-func (f *Flaky) Remove(name string) error { return f.Inner.Remove(name) }
-
-func (f *Flaky) SyncDir(dir string) error {
-	if f.takeSyncFault() {
-		return fmt.Errorf("syncdir %s: %w", dir, ErrInjected)
-	}
-	return f.Inner.SyncDir(dir)
-}
-
-func (f *Flaky) Open(name string) (io.ReadCloser, error) {
-	rc, err := f.Inner.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	off, mask := f.flipOffset, f.flipMask
-	f.mu.Unlock()
-	if mask == 0 {
-		return rc, nil
-	}
-	return &flipReader{rc: rc, off: off, mask: mask}, nil
-}
-
-// takeWrite charges n bytes against the write budget, reporting how many
-// may be written before the injected failure (n if unlimited).
-func (f *Flaky) takeWrite(n int) (allowed int, ok bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.unlimited {
-		return n, true
-	}
-	if int64(n) <= f.writeBudget {
-		f.writeBudget -= int64(n)
-		return n, true
-	}
-	allowed = int(f.writeBudget)
-	f.writeBudget = 0
-	return allowed, false
-}
-
-func (f *Flaky) takeSyncFault() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.failSyncs > 0 {
-		f.failSyncs--
-		return true
-	}
-	return false
-}
-
-// flakyFile charges writes against the shared budget; a short write
-// writes the allowed prefix for real (the on-disk state a crash leaves)
-// and then fails.
-type flakyFile struct {
-	File
-	fs *Flaky
-}
-
-func (w *flakyFile) Write(p []byte) (int, error) {
-	allowed, ok := w.fs.takeWrite(len(p))
-	if ok {
-		return w.File.Write(p)
-	}
-	n := 0
-	if allowed > 0 {
-		n, _ = w.File.Write(p[:allowed])
-	}
-	return n, fmt.Errorf("write %s after %d bytes: %w", w.Name(), n, ErrInjected)
-}
-
-func (w *flakyFile) Sync() error {
-	if w.fs.takeSyncFault() {
-		return fmt.Errorf("sync %s: %w", w.Name(), ErrInjected)
-	}
-	return w.File.Sync()
-}
-
-// flipReader XORs the byte at off with mask as it streams past.
-type flipReader struct {
-	rc   io.ReadCloser
-	pos  int64
-	off  int64
-	mask byte
-}
-
-func (r *flipReader) Read(p []byte) (int, error) {
-	n, err := r.rc.Read(p)
-	if n > 0 && r.off >= r.pos && r.off < r.pos+int64(n) {
-		p[r.off-r.pos] ^= r.mask
-	}
-	r.pos += int64(n)
-	return n, err
-}
-
-func (r *flipReader) Close() error { return r.rc.Close() }
-
-// Transport is a fault-injecting http.RoundTripper for peer forwarding:
-// it can drop requests (transport error), delay them (latency spike), or
-// answer a burst of consecutive requests with errors. Faults draw from a
-// seeded stream, so a chaos run replays. Transport is safe for
-// concurrent use.
-type Transport struct {
-	Inner http.RoundTripper // nil = http.DefaultTransport
-
-	mu        sync.Mutex
-	rng       *rand.Rand
-	dropProb  float64
-	latProb   float64
-	latency   time.Duration
-	errBurst  int
-	injected  int64
-	passed    int64
-	sleepFunc func(time.Duration) // test hook; nil = time.Sleep
-}
-
-// NewTransport returns an injector over inner with the given seed and no
-// faults armed.
-func NewTransport(inner http.RoundTripper, seed int64) *Transport {
-	return &Transport{Inner: inner, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Drop arms probabilistic request drops.
-func (t *Transport) Drop(prob float64) { t.mu.Lock(); t.dropProb = prob; t.mu.Unlock() }
-
-// Spike arms probabilistic latency injection of d before the request.
-func (t *Transport) Spike(prob float64, d time.Duration) {
-	t.mu.Lock()
-	t.latProb, t.latency = prob, d
-	t.mu.Unlock()
-}
-
-// FailNext arms the next n requests to fail unconditionally — an error
-// burst, the shape of a peer dying and its connections resetting.
-func (t *Transport) FailNext(n int) { t.mu.Lock(); t.errBurst = n; t.mu.Unlock() }
-
-// Counts reports how many requests were injected with a drop and how
-// many passed through.
-func (t *Transport) Counts() (injected, passed int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.injected, t.passed
-}
-
-func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	t.mu.Lock()
-	var delay time.Duration
-	if t.latency > 0 && t.rng.Float64() < t.latProb {
-		delay = t.latency
-	}
-	drop := false
-	if t.errBurst > 0 {
-		t.errBurst--
-		drop = true
-	} else if t.dropProb > 0 && t.rng.Float64() < t.dropProb {
-		drop = true
-	}
-	if drop {
-		t.injected++
-	} else {
-		t.passed++
-	}
-	sleep := t.sleepFunc
-	t.mu.Unlock()
-
-	if delay > 0 {
-		if sleep == nil {
-			sleep = time.Sleep
-		}
-		sleep(delay)
-	}
-	if drop {
-		return nil, fmt.Errorf("roundtrip %s: %w", req.URL.Host, ErrInjected)
-	}
-	inner := t.Inner
-	if inner == nil {
-		inner = http.DefaultTransport
-	}
-	return inner.RoundTrip(req)
 }

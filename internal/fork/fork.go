@@ -43,10 +43,6 @@ func (v *Vertex) Depth() int { return v.depth }
 // Parent returns the vertex's parent, or nil for the root.
 func (v *Vertex) Parent() *Vertex { return v.parent }
 
-// Children returns the vertex's children in creation order. The returned
-// slice is shared; callers must not modify it.
-func (v *Vertex) Children() []*Vertex { return v.children }
-
 // IsRoot reports whether v is the genesis root.
 func (v *Vertex) IsRoot() bool { return v.parent == nil }
 
@@ -183,27 +179,12 @@ func (f *Fork) MaxHonestDepthUpTo(slot int) int {
 	return d
 }
 
-// ViableAtOnset reports whether the tine of v is viable at the onset of the
-// given slot: its length is no smaller than the depth of every honest vertex
-// with label < slot. Only such tines can be adopted by an honest observer at
-// that slot.
-func (f *Fork) ViableAtOnset(v *Vertex, slot int) bool {
-	return v.depth >= f.MaxHonestDepthUpTo(slot-1)
-}
-
 // Validate checks the fork axioms (F1)–(F4) of Definition 2 against the
 // fork's current characteristic string. It returns nil when the fork is
 // valid. The synchronous axioms are checked; for Δ-forks see package
 // deltasync.
 func (f *Fork) Validate() error {
 	return f.validate(0)
-}
-
-// ValidateDelta checks (F1)–(F3) plus the relaxed depth axiom (F4Δ):
-// honest slots further than Δ apart must have strictly increasing depths.
-// ValidateDelta(0) is Validate.
-func (f *Fork) ValidateDelta(delta int) error {
-	return f.validate(delta)
 }
 
 func (f *Fork) validate(delta int) error {
@@ -297,34 +278,6 @@ func EdgeDisjointOver(u, v *Vertex, xlen int) bool {
 	return LCA(u, v).label <= xlen
 }
 
-// Clone returns a deep copy of the fork (fresh vertices, same ids, cloned
-// string).
-func (f *Fork) Clone() *Fork {
-	g := &Fork{w: f.w.Clone()}
-	g.vertices = make([]*Vertex, len(f.vertices))
-	for _, v := range f.vertices {
-		nv := &Vertex{id: v.id, label: v.label, depth: v.depth}
-		g.vertices[v.id] = nv
-		if v.parent != nil {
-			p := g.vertices[v.parent.id]
-			nv.parent = p
-			p.children = append(p.children, nv)
-		}
-	}
-	g.root = g.vertices[0]
-	g.byLabel = make([][]*Vertex, len(f.byLabel))
-	for slot, vs := range f.byLabel {
-		if len(vs) == 0 {
-			continue
-		}
-		g.byLabel[slot] = make([]*Vertex, len(vs))
-		for i, v := range vs {
-			g.byLabel[slot][i] = g.vertices[v.id]
-		}
-	}
-	return g
-}
-
 // DeepestVertices returns all vertices of maximum depth.
 func (f *Fork) DeepestVertices() []*Vertex {
 	h := f.Height()
@@ -359,24 +312,6 @@ func (f *Fork) IsXBalanced(xlen int) bool {
 	return false
 }
 
-// SlotDivergence returns div_slot(F) = max over tine pairs of
-// ℓ(t1) − ℓ(t1 ∩ t2) with ℓ(t1) ≤ ℓ(t2) (Definition 25), considering only
-// viable tine pairs is the caller's concern; this is the raw structural
-// maximum over all vertex pairs.
-func (f *Fork) SlotDivergence() int {
-	best := 0
-	for i, u := range f.vertices {
-		for _, v := range f.vertices[i+1:] {
-			a, b := u, v
-			if a.label > b.label {
-				a, b = b, a
-			}
-			best = max(best, a.label-LCA(a, b).label)
-		}
-	}
-	return best
-}
-
 // Tine returns the root-to-v path as a vertex slice (root first).
 func Tine(v *Vertex) []*Vertex {
 	path := make([]*Vertex, v.depth+1)
@@ -385,33 +320,6 @@ func Tine(v *Vertex) []*Vertex {
 		v = v.parent
 	}
 	return path
-}
-
-// TrimSlots returns the deepest ancestor of v whose label is at most
-// ℓ(v) − k: the trimmed tine t^{⌊k} of Section 9 (slot-based trimming).
-func TrimSlots(v *Vertex, k int) *Vertex {
-	cut := v.label - k
-	for v.parent != nil && v.label > cut {
-		v = v.parent
-	}
-	return v
-}
-
-// TrimBlocks returns the ancestor of v exactly k edges up (or the root when
-// the tine is shorter): the traditional block-based truncation C^{⌈k}.
-func TrimBlocks(v *Vertex, k int) *Vertex {
-	for i := 0; i < k && v.parent != nil; i++ {
-		v = v.parent
-	}
-	return v
-}
-
-// IsPrefixOf reports whether v's tine is a (non-strict) prefix of u's tine.
-func IsPrefixOf(v, u *Vertex) bool {
-	for u.depth > v.depth {
-		u = u.parent
-	}
-	return u == v
 }
 
 // Render returns a compact multi-line ASCII rendering of the fork: one line

@@ -105,7 +105,7 @@ func TestAxiomRejection(t *testing.T) {
 		f.MustAddVertex(f.Root(), 2)
 		v3 := f.MustAddVertex(f.VerticesAt(1)[0], 3)
 		_ = v3
-		if err := f.ValidateDelta(1); err != nil {
+		if err := f.validate(1); err != nil {
 			t.Errorf("Δ=1 fork should accept adjacent equal depths: %v", err)
 		}
 	})
@@ -182,63 +182,27 @@ func TestBalancedForkExamples(t *testing.T) {
 	}
 }
 
+// isPrefixOf reports whether v's tine is a (non-strict) prefix of u's tine.
+func isPrefixOf(v, u *Vertex) bool {
+	for u.depth > v.depth {
+		u = u.parent
+	}
+	return u == v
+}
+
 func TestLCAAndDisjointness(t *testing.T) {
 	f := buildFigure1(t)
 	vs := f.Vertices()
 	for i, u := range vs {
 		for _, v := range vs[i:] {
 			l := LCA(u, v)
-			if !IsPrefixOf(l, u) || !IsPrefixOf(l, v) {
+			if !isPrefixOf(l, u) || !isPrefixOf(l, v) {
 				t.Fatalf("LCA(%d,%d) not a common prefix", u.ID(), v.ID())
 			}
 		}
 	}
 	if !EdgeDisjointOver(f.Root(), f.Root(), 0) {
 		t.Error("root tine is disjoint with itself over everything")
-	}
-}
-
-func TestTrim(t *testing.T) {
-	w := charstring.MustParse("hhhhh")
-	f := New(w)
-	cur := f.Root()
-	for s := 1; s <= 5; s++ {
-		cur = f.MustAddVertex(cur, s)
-	}
-	if got := TrimSlots(cur, 2); got.Label() != 3 {
-		t.Errorf("TrimSlots(5-tine, 2) label = %d, want 3", got.Label())
-	}
-	if got := TrimBlocks(cur, 4); got.Label() != 1 {
-		t.Errorf("TrimBlocks label = %d, want 1", got.Label())
-	}
-	if got := TrimBlocks(cur, 99); got != f.Root() {
-		t.Error("over-trim should land on root")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	f := buildFigure1(t)
-	g := f.Clone()
-	if g.Len() != f.Len() || g.Height() != f.Height() {
-		t.Fatal("clone differs structurally")
-	}
-	g.AppendSymbol(charstring.Adversarial)
-	if len(f.String()) == len(g.String()) {
-		t.Error("clone shares string storage")
-	}
-}
-
-func TestSlotDivergence(t *testing.T) {
-	// Two tines diverging at root, labels up to 5 and 6.
-	w := charstring.MustParse("hAhAhA")
-	f := New(w)
-	a := f.MustAddVertex(f.Root(), 1)
-	f.MustAddVertex(a, 3)
-	b := f.MustAddVertex(f.Root(), 2)
-	f.MustAddVertex(b, 6)
-	// pairs: (3-tine, 6-tine): min label tine is 3, LCA root → 3.
-	if got := f.SlotDivergence(); got != 3 {
-		t.Errorf("slot divergence = %d, want 3", got)
 	}
 }
 
@@ -249,12 +213,14 @@ func TestViability(t *testing.T) {
 	a2 := f.MustAddVertex(f.Root(), 2)
 	v3 := f.MustAddVertex(v1, 3)
 	_ = v3
-	// At onset of slot 3, honest depth max from slots ≤2 is depth(v1)=1;
-	// a2 has depth 1 → viable; root depth 0 → not viable.
-	if !f.ViableAtOnset(a2, 3) {
+	// A tine is viable at the onset of slot 3 when it is no shorter than
+	// every honest vertex labeled before slot 3: the honest depth max from
+	// slots ≤ 2 is depth(v1) = 1, so a2 (depth 1) is viable and the root
+	// (depth 0) is not.
+	if a2.Depth() < f.MaxHonestDepthUpTo(2) {
 		t.Error("a2 should be viable at onset of slot 3")
 	}
-	if f.ViableAtOnset(f.Root(), 3) {
+	if f.Root().Depth() >= f.MaxHonestDepthUpTo(2) {
 		t.Error("root should not be viable at onset of slot 3")
 	}
 }
@@ -309,46 +275,6 @@ func TestRelativeMarginsRandomAgainstDefinition(t *testing.T) {
 			if all[xlen] != want {
 				t.Fatalf("µ mismatch at xlen=%d: %d vs %d", xlen, all[xlen], want)
 			}
-		}
-	}
-}
-
-// TestPinch: the pinched fork F^{⊲u⊳} of Appendix A keeps all depths and
-// labels, remains a valid fork, and routes every deep tine through u.
-func TestPinch(t *testing.T) {
-	// Rejection: a depth-2 vertex with label ≤ ℓ(u) cannot be re-parented
-	// under u without breaking (F2).
-	w := charstring.MustParse("AAhA")
-	f := New(w)
-	u := f.MustAddVertex(f.Root(), 3) // honest, depth 1
-	a1 := f.MustAddVertex(f.Root(), 1)
-	f.MustAddVertex(a1, 2) // depth 2, label 2 < 3
-	if _, err := f.Pinch(u); err == nil {
-		t.Fatal("pinch accepted a label-order violation")
-	}
-
-	// Success: all depth-2 vertices have labels above ℓ(u).
-	w2 := charstring.MustParse("hAAhA")
-	g := New(w2)
-	gu := g.MustAddVertex(g.Root(), 1)
-	ga2 := g.MustAddVertex(gu, 2)
-	g.MustAddVertex(ga2, 4) // honest, depth 3
-	ga3 := g.MustAddVertex(g.Root(), 2)
-	g.MustAddVertex(ga3, 3) // depth 2, label 3 > 1: redirectable
-	p, err := g.Pinch(gu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("pinched fork invalid: %v", err)
-	}
-	for _, v := range p.Vertices() {
-		ov := g.Vertices()[v.ID()]
-		if v.Depth() != ov.Depth() || v.Label() != ov.Label() {
-			t.Fatalf("pinch changed depth/label of vertex %d", v.ID())
-		}
-		if v.Depth() == gu.Depth()+1 && v.Parent() != p.Vertices()[gu.ID()] {
-			t.Fatalf("vertex %d at depth %d not routed through u", v.ID(), v.Depth())
 		}
 	}
 }

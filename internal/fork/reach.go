@@ -61,10 +61,6 @@ func (f *Fork) MaxReach() (int, error) {
 	return best, nil
 }
 
-// Margin returns µ(F): the "second-best" reach over all pairs of
-// edge-disjoint tines (Definition 17 with x = ε).
-func (f *Fork) Margin() (int, error) { return f.RelativeMargin(0) }
-
 // RelativeMargin returns µ_x(F) for |x| = xlen: the maximum over pairs of
 // tines that are edge-disjoint over the suffix y (w = xy) of the smaller of
 // the two reaches. A single tine labeled within x pairs with itself.
@@ -118,34 +114,4 @@ func (f *Fork) RelativeMarginsAllPrefixes() ([]int, error) {
 		out[l] = cur
 	}
 	return out, nil
-}
-
-// WitnessPair returns a pair of tines (terminal vertices) that witness
-// µ_x(F) for |x| = xlen: edge-disjoint over y with both reaches ≥ the
-// relative margin and min reach equal to it. For self-witnessing single
-// tines both returns are the same vertex. It returns ErrNotClosed on
-// non-closed forks and (nil, nil) if the fork has no vertices labeled in y
-// — in that degenerate case the margin is witnessed by tines within x.
-func (f *Fork) WitnessPair(xlen int) (t1, t2 *Vertex, err error) {
-	rs, err := f.Reaches()
-	if err != nil {
-		return nil, nil, err
-	}
-	target, err := f.RelativeMargin(xlen)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, v := range f.vertices {
-		if v.label <= xlen && rs[v.id].Reach == target {
-			return v, v, nil
-		}
-	}
-	for i, u := range f.vertices {
-		for _, v := range f.vertices[i+1:] {
-			if LCA(u, v).label <= xlen && min(rs[u.id].Reach, rs[v.id].Reach) == target {
-				return u, v, nil
-			}
-		}
-	}
-	return nil, nil, nil
 }

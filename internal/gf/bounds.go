@@ -71,14 +71,6 @@ func (b *Bound1) Tail(k int) (float64, error) {
 	return b.CTilde.TailFrom(k), nil
 }
 
-// TailEmptyPrefix is Tail for |x| = 0 (the Ĉ series).
-func (b *Bound1) TailEmptyPrefix(k int) (float64, error) {
-	if k > b.CHat.Degree() {
-		return 0, fmt.Errorf("gf: k=%d beyond truncation %d", k, b.CHat.Degree())
-	}
-	return b.CHat.TailFrom(k), nil
-}
-
 // Bound2 evaluates the Section 5.2 machinery for bivalent strings
 // (qh = 0, consistent tie-breaking): M̂(Z) whose tail bounds the
 // probability that a k-slot window contains no two consecutive Catalan
@@ -128,14 +120,6 @@ func (b *Bound2) Tail(k int) (float64, error) {
 		return 0, fmt.Errorf("gf: k=%d beyond truncation %d", k, b.MTilde.Degree())
 	}
 	return b.MTilde.TailFrom(k), nil
-}
-
-// TailEmptyPrefix is Tail for |x| = 0.
-func (b *Bound2) TailEmptyPrefix(k int) (float64, error) {
-	if k > b.MHat.Degree() {
-		return 0, fmt.Errorf("gf: k=%d beyond truncation %d", k, b.MHat.Degree())
-	}
-	return b.MHat.TailFrom(k), nil
 }
 
 // closed-form evaluations of the walk series for real z within their radii.

@@ -62,21 +62,6 @@ func (s Series) ShiftZ(k int) Series {
 	return out
 }
 
-// Mul returns the product truncated to the shorter operand's degree.
-func (s Series) Mul(t Series) Series {
-	n := min(len(s), len(t))
-	out := make(Series, n)
-	for i := 0; i < n; i++ {
-		if s[i] == 0 {
-			continue
-		}
-		for j := 0; i+j < n; j++ {
-			out[i+j] += s[i] * t[j]
-		}
-	}
-	return out
-}
-
 // DivOneMinus returns s / (1 − t) where t must have zero constant term;
 // this is the fundamental "sum over restarts" operation of renewal
 // arguments. The result has the shorter operand's degree.
@@ -96,17 +81,6 @@ func (s Series) DivOneMinus(t Series) (Series, error) {
 	return out, nil
 }
 
-// PartialSums returns the running sums Σ_{i≤k} s_i for k = 0..Degree.
-func (s Series) PartialSums() []float64 {
-	out := make([]float64, len(s))
-	acc := 0.0
-	for i, v := range s {
-		acc += v
-		out[i] = acc
-	}
-	return out
-}
-
 // TailFrom returns 1 − Σ_{i<k} s_i, the mass at indices ≥ k of a
 // probability generating function (one whose coefficients sum to 1).
 // Values are clamped at 0 to absorb floating-point residue.
@@ -116,15 +90,6 @@ func (s Series) TailFrom(k int) float64 {
 		acc += s[i]
 	}
 	return math.Max(0, 1-acc)
-}
-
-// Eval evaluates the truncated series at z by Horner's rule.
-func (s Series) Eval(z float64) float64 {
-	v := 0.0
-	for i := len(s) - 1; i >= 0; i-- {
-		v = v*z + s[i]
-	}
-	return v
 }
 
 // solveQuadraticFixpoint returns the unique power-series solution of
@@ -176,21 +141,6 @@ func Descent(epsilon float64, n int) (Series, error) {
 	v := NewSeries(n)
 	if n >= 1 {
 		v[1] = p
-	}
-	return solveQuadraticFixpoint(u, v, n)
-}
-
-// Ascent returns the first-ascent generating function A(Z): A = pZ + qZA².
-// A is defective: A(1) = p/q < 1 (gambler's ruin).
-func Ascent(epsilon float64, n int) (Series, error) {
-	p, q := (1-epsilon)/2, (1+epsilon)/2
-	u := NewSeries(n)
-	if n >= 1 {
-		u[1] = p
-	}
-	v := NewSeries(n)
-	if n >= 1 {
-		v[1] = q
 	}
 	return solveQuadraticFixpoint(u, v, n)
 }

@@ -246,14 +246,6 @@ func (c *Curve) Upper(t int) float64 {
 // chain at horizon t always lies inside.
 func (c *Curve) Bracket(t int) (lo, hi float64) { return c.Lower(t), c.Upper(t) }
 
-// Dropped returns the total pruned mass over the sweep so far.
-func (c *Curve) Dropped() float64 {
-	if n := len(c.drop); n > 0 {
-		return c.drop[n-1]
-	}
-	return 0
-}
-
 // Values returns a copy of the lower curve for horizons 1..Len(), which
 // must all be published.
 func (c *Curve) Values() []float64 {

@@ -280,21 +280,6 @@ func (e *Engine) MemBytes() int64 {
 // zero in exact mode (τ = 0).
 func (e *Engine) Dropped() float64 { return e.dropped }
 
-// Window returns the bounding box of the live region (rLo, rHi, sLo, sHi).
-// An empty engine returns rLo > rHi.
-func (e *Engine) Window() (rLo, rHi, sLo, sHi int) {
-	if e.rLo > e.rHi {
-		return e.rLo, e.rHi, 0, 0
-	}
-	sLo, sHi = e.geo.SMax+1, e.geo.SMin-1
-	for r := e.rLo; r <= e.rHi; r++ {
-		if e.lo[r] <= e.hi[r] {
-			sLo, sHi = min(sLo, e.lo[r]), max(sHi, e.hi[r])
-		}
-	}
-	return e.rLo, e.rHi, sLo, sHi
-}
-
 // Mass returns the mass currently held at cell (r, s), and zero outside the
 // geometry box. It reads the stored cell directly: outside the live region
 // that cell is zero by the engine's storage rule, so comparing Mass over the

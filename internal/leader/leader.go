@@ -3,15 +3,14 @@
 // independent per-slot lotteries with the φ_f stake function, and the
 // projection from concrete leader schedules to {⊥, h, H, A} symbols.
 //
-// The paper's protocols elect leaders with verifiable random functions;
-// here the private lottery is simulated with SHA-256 over (seed, party,
-// slot), a substitution documented in DESIGN.md: the analysis consumes only
-// the induced law of the characteristic string, which any unpredictable
-// Bernoulli lottery reproduces.
+// The paper's protocols elect leaders with verifiable random functions.
+// The analysis consumes only the induced law of the characteristic string
+// (InducedSemiSync), which any unpredictable Bernoulli lottery reproduces;
+// the package's tests check it against a private lottery simulated with
+// SHA-256 over (Seed, party, slot).
 package leader
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -130,37 +129,6 @@ func (l *Lottery) totalStake() float64 {
 	return t
 }
 
-// Leads reports whether the party leads the slot: a deterministic
-// pseudo-VRF evaluation H(seed‖party‖slot) compared against the
-// φ-threshold. Everyone can recompute it, which stands in for VRF proof
-// verification.
-func (l *Lottery) Leads(party, slot int) bool {
-	if party < 0 || party >= len(l.Parties) {
-		return false
-	}
-	var buf [48]byte
-	copy(buf[:32], l.Seed[:])
-	binary.BigEndian.PutUint64(buf[32:40], uint64(party))
-	binary.BigEndian.PutUint64(buf[40:48], uint64(slot))
-	h := sha256.Sum256(buf[:])
-	u := float64(binary.BigEndian.Uint64(h[:8])>>11) / float64(1<<53)
-	alpha := l.Parties[party].Stake / l.totalStake()
-	return u < l.Phi(alpha)
-}
-
-// Draw materializes the slot-by-slot leader schedule over the horizon.
-func (l *Lottery) Draw(horizon int) *Schedule {
-	s := &Schedule{Parties: l.Parties, Leaders: make([][]int, horizon)}
-	for t := 1; t <= horizon; t++ {
-		for id := range l.Parties {
-			if l.Leads(id, t) {
-				s.Leaders[t-1] = append(s.Leaders[t-1], id)
-			}
-		}
-	}
-	return s
-}
-
 // InducedSemiSync returns the exact i.i.d. law of the characteristic symbol
 // induced by the lottery: with A the adversarial set and H the honest set,
 //
@@ -196,18 +164,6 @@ func (l *Lottery) InducedSemiSync() (charstring.SemiSyncParams, error) {
 		pH = 0
 	}
 	return charstring.NewSemiSyncParams(pEmpty, ph, pH, pA)
-}
-
-// AdversarialStake returns the adversarial fraction of total stake.
-func (l *Lottery) AdversarialStake() float64 {
-	total, adv := 0.0, 0.0
-	for _, p := range l.Parties {
-		total += p.Stake
-		if !p.Honest {
-			adv += p.Stake
-		}
-	}
-	return adv / total
 }
 
 // BernoulliSchedule draws a schedule directly from an abstract

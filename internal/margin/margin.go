@@ -1,7 +1,6 @@
 // Package margin implements the reach/relative-margin calculus of Section 6
-// of the paper: the recurrences of Theorem 5, the UVP characterization of
-// Lemma 1, and per-string settlement and common-prefix verdicts derived
-// from them.
+// of the paper: the recurrences of Theorem 5 and the per-string settlement
+// verdicts derived from them.
 //
 // For a decomposition w = xy, the relative margin µ_x(y) is the
 // "second-best" reach achievable by a pair of tines disjoint over y in any
@@ -26,16 +25,6 @@ func Rho(w charstring.String) int {
 		r = StepRho(r, s)
 	}
 	return r
-}
-
-// RhoTrace returns ρ(w₁…w_t) for every t = 0..T, index t holding the value
-// after t symbols.
-func RhoTrace(w charstring.String) []int {
-	out := make([]int, len(w)+1)
-	for t, s := range w {
-		out[t+1] = StepRho(out[t], s)
-	}
-	return out
 }
 
 // badSymbol reports an out-of-alphabet symbol. It is outlined (and kept
@@ -109,48 +98,6 @@ func RelativeMargin(w charstring.String, xlen int) int {
 	return mu
 }
 
-// MarginTrace returns µ_x(y₁…y_t) for t = 0..|y| where x = w[:xlen] and
-// y = w[xlen:]; index t holds the margin after t symbols of y.
-func MarginTrace(w charstring.String, xlen int) []int {
-	rho := Rho(w[:xlen])
-	mu := rho
-	out := make([]int, len(w)-xlen+1)
-	out[0] = mu
-	for t, s := range w[xlen:] {
-		rho, mu = StepMu(rho, mu, s)
-		out[t+1] = mu
-	}
-	return out
-}
-
-// HasUVP reports whether slot s has the Unique Vertex Property in w via the
-// Lemma 1 characterization: w_s = h and µ_x(y) < 0 for every strict
-// extension y (|y| ≥ 1) of the decomposition w = x y z with |x| = s − 1.
-//
-// Lemma 1 characterizes the UVP only for uniquely honest slots; HasUVP
-// returns false for any other symbol at s.
-func HasUVP(w charstring.String, s int) bool {
-	if s < 1 || s > len(w) || w[s-1] != charstring.UniqueHonest {
-		return false
-	}
-	xlen := s - 1
-	rho := Rho(w[:xlen])
-	mu := rho
-	for _, sym := range w[xlen:] {
-		rho, mu = StepMu(rho, mu, sym)
-		if mu >= 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// XBalancedForkExists reports whether some x-balanced fork exists for
-// w = xy with |x| = xlen (Fact 6): µ_x(y) ≥ 0.
-func XBalancedForkExists(w charstring.String, xlen int) bool {
-	return RelativeMargin(w, xlen) >= 0
-}
-
 // SettlementViolated reports whether slot s fails to be k-settled in w in
 // the sense witnessed by relative margin: some prefix w[:t] with
 // t ≥ s + k admits an x-balanced fork for x = w[:s−1] (Observation 2 with
@@ -176,34 +123,10 @@ func SettlementViolated(w charstring.String, s, k int) bool {
 	return false
 }
 
-// ViolationAtHorizon reports whether µ_x(y) ≥ 0 for the specific
-// decomposition with |x| = s−1 and |y| = k, i.e. whether slot s incurs a
-// k-settlement violation at exactly horizon k. This is the quantity
-// tabulated in Table 1 (Pr over w of this event, with |x| → ∞).
-func ViolationAtHorizon(w charstring.String, s, k int) bool {
-	if s-1+k > len(w) {
-		panic(fmt.Sprintf("margin: horizon s-1+k = %d exceeds |w| = %d", s-1+k, len(w)))
-	}
-	return RelativeMargin(w[:s-1+k], s-1) >= 0
-}
-
 // State carries the joint (ρ, µ) pair for online consumers (the chain
 // simulator's margin-driven attacker feeds symbols as slots resolve).
 // The zero value is the state for x = y = ε.
 type State struct {
 	Rho int
 	Mu  int
-}
-
-// NewState starts a margin computation for the decomposition point after
-// prefix x.
-func NewState(x charstring.String) State {
-	r := Rho(x)
-	return State{Rho: r, Mu: r}
-}
-
-// Step advances the state by one symbol of y and returns the new state.
-func (st State) Step(s charstring.Symbol) State {
-	r, m := StepMu(st.Rho, st.Mu, s)
-	return State{Rho: r, Mu: m}
 }

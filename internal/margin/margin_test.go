@@ -29,12 +29,12 @@ func TestRhoMatchesReflectedWalk(t *testing.T) {
 	law := charstring.MustParams(0.1, 0.3)
 	for trial := 0; trial < 30; trial++ {
 		w := law.Sample(rng, 80)
-		tr := RhoTrace(w)
-		walkS, minS := 0, 0
+		rho, walkS, minS := 0, 0, 0
 		for i, s := range w {
+			rho = StepRho(rho, s)
 			walkS += s.Walk()
 			minS = min(minS, walkS)
-			if tr[i+1] != walkS-minS {
+			if rho != walkS-minS {
 				t.Fatalf("ρ trace diverges from reflected walk at %d of %v", i+1, w)
 			}
 		}
@@ -110,17 +110,19 @@ func TestMarginMonotoneInOrder(t *testing.T) {
 
 func TestMarginTraceAndState(t *testing.T) {
 	w := charstring.MustParse("hAAhH")
-	tr := MarginTrace(w, 1)
 	want := []int{0, 1, 2, 1, 0}
 	for i := range want {
-		if tr[i] != want[i] {
-			t.Fatalf("trace %v, want %v", tr, want)
+		if got := RelativeMargin(w[:1+i], 1); got != want[i] {
+			t.Fatalf("µ after %d symbols of y = %d, want %d", i, got, want[i])
 		}
 	}
-	st := NewState(w[:1])
+	// The online state, started after x and stepped one symbol of y at a
+	// time, follows the same trace.
+	r := Rho(w[:1])
+	st := State{Rho: r, Mu: r}
 	for i, s := range w[1:] {
-		st = st.Step(s)
-		if st.Mu != tr[i+1] {
+		st.Rho, st.Mu = StepMu(st.Rho, st.Mu, s)
+		if st.Mu != want[i+1] {
 			t.Fatalf("online state diverges at %d", i+1)
 		}
 	}
@@ -137,12 +139,6 @@ func TestSettlementVerdicts(t *testing.T) {
 	if SettlementViolated(w2, 2, 1) {
 		t.Error("slot 2 of hhhhh should be settled")
 	}
-	if !HasUVP(w2, 3) {
-		t.Error("slot 3 of hhhhh has the UVP")
-	}
-	if HasUVP(charstring.MustParse("hAhAhA"), 1) {
-		t.Error("slot 1 of hAhAhA cannot have the UVP")
-	}
 }
 
 // TestViolationAtHorizonConsistency: the at-horizon event implies the
@@ -156,7 +152,8 @@ func TestViolationAtHorizonConsistency(t *testing.T) {
 		if s-1+k > len(w) {
 			continue
 		}
-		if ViolationAtHorizon(w, s, k) && !SettlementViolated(w, s, k-1) {
+		// The at-horizon event: µ_x(y) ≥ 0 for |x| = s−1 and |y| = k exactly.
+		if RelativeMargin(w[:s-1+k], s-1) >= 0 && !SettlementViolated(w, s, k-1) {
 			t.Fatalf("horizon violation without windowed violation: w=%v s=%d k=%d", w, s, k)
 		}
 	}

@@ -177,7 +177,7 @@ func (v *settlementStream) FeedBlock(blk *runner.Block, n int) int {
 
 // FeedBlock implements runner.BlockVerdict: the scalar loop devirtualized
 // into direct cp.WindowStream calls, with the exact per-symbol decision
-// point (CPTilted wraps this verdict).
+// point.
 func (v *cpStream) FeedBlock(blk *runner.Block, n int) int {
 	for i := 0; i < n; i++ {
 		v.ws.Feed(blk.Syms[i])

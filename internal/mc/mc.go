@@ -9,10 +9,15 @@
 // (stream.go, block.go) with a block threshold sampler and delegate to
 // runner.RunStreamBlocks — a fused sample–judge loop that generates 64
 // symbols at a time, with zero steady-state allocations and early exit.
-// The slice-at-a-time form (the runner.Verdict constructors below) is
-// kept as the reference: equivalence tests pin each streaming verdict to
-// agree with it on every string, and the runner-block-scalar-identity
-// conformance entry pins every sample of a block run to it. For a fixed
+// The slice-at-a-time form (the runner.Verdict constructors below), the
+// symbol-at-a-time Feed path of each block verdict and the scalar
+// samplers (StreamBernoulliSampler, StreamConditionedSemiSyncSampler) are
+// references that no binary runs. They stay here because
+// internal/conformance compares the production path with them: the
+// mc-e*-stream-equals-slice entries pin each streaming verdict to its
+// slice verdict on every string, and runner-block-scalar-identity pins
+// every sample of a block run to its scalar scan. The repository's link
+// gate (linked_test.go) lists each of them with that caller. For a fixed
 // (seed, n) every Estimate is bit-identical at every worker count;
 // workers = 0 uses all CPUs and workers = 1 is the serial path.
 package mc
@@ -26,7 +31,6 @@ import (
 	"multihonest/internal/deltasync"
 	"multihonest/internal/margin"
 	"multihonest/internal/runner"
-	"multihonest/internal/stats"
 )
 
 // Estimate is a Monte-Carlo frequency with its Wilson 95% interval; it is
@@ -148,44 +152,4 @@ func DeltaUnsettled(sp charstring.SemiSyncParams, delta, s, k, tail, n int, seed
 			}
 			return v
 		})
-}
-
-// Series sweeps a horizon list serially, returning one estimate per k.
-func Series(ks []int, f func(k int) Estimate) []Estimate {
-	out := make([]Estimate, len(ks))
-	for i, k := range ks {
-		out[i] = f(k)
-	}
-	return out
-}
-
-// SeriesParallel sweeps a horizon list on a worker pool (0 = all CPUs).
-// Each horizon's estimate is computed exactly as Series would, so the two
-// agree bit-for-bit; only wall-clock differs. Point the per-horizon
-// experiments at workers = 1 when calling through SeriesParallel, otherwise
-// the two parallelism levels compete for cores.
-func SeriesParallel(ks []int, workers int, f func(k int) Estimate) []Estimate {
-	out := make([]Estimate, len(ks))
-	// The loop body cannot fail (f returns no error), so a non-nil ForEach
-	// error is a programming bug in this package — surface it loudly
-	// rather than silently discarding it.
-	if err := runner.ForEach(workers, len(ks), func(i int) error {
-		out[i] = f(ks[i])
-		return nil
-	}); err != nil {
-		panic(fmt.Sprintf("mc: infallible series sweep failed: %v", err))
-	}
-	return out
-}
-
-// DecayRate fits an exponential decay to (k, estimate) pairs, ignoring
-// zero-hit entries.
-func DecayRate(ks []int, es []Estimate) (stats.FitResult, error) {
-	xs := make([]float64, len(ks))
-	ys := make([]float64, len(es))
-	for i := range ks {
-		xs[i] = float64(ks[i])
-		ys[i] = es[i].P
-	}
-	return stats.FitExpDecay(xs, ys)
 }

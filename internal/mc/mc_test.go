@@ -82,30 +82,6 @@ func TestDeltaUnsettledMonotoneInDelta(t *testing.T) {
 	}
 }
 
-func TestSeriesAndDecayRate(t *testing.T) {
-	p := charstring.MustParams(0.5, 0.5)
-	ks := []int{10, 20, 30, 40}
-	es := Series(ks, func(k int) Estimate {
-		return SettlementViolation(p, 100, k, 8000, 21, 0)
-	})
-	fit, err := DecayRate(ks, es)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fit.Rate <= 0 {
-		t.Fatalf("settlement error should decay: %+v (series %v)", fit, es)
-	}
-	// SeriesParallel must agree bit-for-bit with the serial sweep.
-	esp := SeriesParallel(ks, 4, func(k int) Estimate {
-		return SettlementViolation(p, 100, k, 8000, 21, 1)
-	})
-	for i := range es {
-		if es[i] != esp[i] {
-			t.Fatalf("SeriesParallel diverged at k=%d: %v vs %v", ks[i], esp[i], es[i])
-		}
-	}
-}
-
 // TestWorkerCountInvariance: every experiment yields a bit-identical
 // Estimate at 1, 4 and 8 workers for a fixed seed — the runner contract,
 // exercised through the real verdicts.

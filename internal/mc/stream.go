@@ -204,7 +204,7 @@ func (v *settlementStream) Feed(sym charstring.Symbol) bool {
 		}
 		return false
 	}
-	v.st = v.st.Step(sym)
+	v.st.Rho, v.st.Mu = margin.StepMu(v.st.Rho, v.st.Mu, sym)
 	rem := v.T - v.t
 	if v.st.Mu-rem >= 0 {
 		v.decided, v.verdict = true, true

@@ -86,9 +86,6 @@ type ClusterConfig struct {
 	// Peers is the full replica set, self included. Order does not
 	// matter; all replicas must agree on the set.
 	Peers []string
-	// Transport carries forwarded requests (default
-	// http.DefaultTransport). Chaos tests inject a faultfs.Transport.
-	Transport http.RoundTripper
 	// Logf receives breaker transitions and forward failures (default
 	// discard).
 	Logf func(format string, args ...any)
@@ -134,7 +131,7 @@ func NewCluster(srv *Server, cfg ClusterConfig) *Cluster {
 		local:       srv.Handler(),
 		self:        cfg.Self,
 		peers:       append([]string(nil), cfg.Peers...),
-		client:      &http.Client{Transport: cfg.Transport},
+		client:      &http.Client{},
 		hedgeAfter:  clusterHedgeAfter,
 		fwdTimeout:  clusterForwardTimeout,
 		retryBase:   clusterRetryBase,

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"multihonest/internal/faultfs"
 	"multihonest/internal/telemetry"
 )
 
@@ -339,10 +338,10 @@ func TestClusterShippedPolicy(t *testing.T) {
 	c := NewCluster(NewServer(New(0), 1), ClusterConfig{
 		Self:  "http://self:1",
 		Peers: []string{"http://self:1", peer},
-		Transport: roundTripFunc(func(*http.Request) (*http.Response, error) {
-			calls.Add(1)
-			return nil, errors.New("peer down")
-		}),
+	})
+	c.client.Transport = roundTripFunc(func(*http.Request) (*http.Response, error) {
+		calls.Add(1)
+		return nil, errors.New("peer down")
 	})
 	var clock atomic.Int64 // nanoseconds on the breaker's clock
 	brk := &c.remote[peer].brk
@@ -420,10 +419,10 @@ func queryOwnedBy(t *testing.T, rs *replicaSet, asker, owner, k int) string {
 // TestClusterRetry: transient transport faults are retried and the
 // query still lands on the owner.
 func TestClusterRetry(t *testing.T) {
-	var tr *faultfs.Transport
+	var tr *faultTransport
 	rs := newReplicaSet(t, 2, func(i int, c *Cluster) {
 		if i == 0 {
-			tr = faultfs.NewTransport(nil, 42)
+			tr = newFaultTransport(nil, 42)
 			c.client.Transport = tr
 		}
 	})

@@ -321,12 +321,12 @@ func failingCluster(t *testing.T, o *Oracle) *Cluster {
 	c := NewCluster(NewServer(o, 1), ClusterConfig{
 		Self:  "http://self:1",
 		Peers: []string{"http://self:1", "http://peer:2"},
-		Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
-			if r.URL.Query().Get("k") != "20" {
-				<-r.Context().Done()
-			}
-			return nil, errors.New("peer down")
-		}),
+	})
+	c.client.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if r.URL.Query().Get("k") != "20" {
+			<-r.Context().Done()
+		}
+		return nil, errors.New("peer down")
 	})
 	c.hedgeAfter = 50 * time.Millisecond
 	c.retryBase, c.retryCap = time.Millisecond, time.Millisecond

@@ -260,18 +260,18 @@ func TestSaveSnapshotFileAtomic(t *testing.T) {
 
 	arm := []struct {
 		name string
-		prep func(f *faultfs.Flaky)
+		prep func(f *flakyFS)
 	}{
-		{"create", func(f *faultfs.Flaky) { f.FailCreates(1) }},
-		{"short-write", func(f *faultfs.Flaky) { f.LimitWriteBytes(100) }},
-		{"sync", func(f *faultfs.Flaky) { f.FailSyncs(1) }},
-		{"rename", func(f *faultfs.Flaky) { f.FailRenames(1) }},
+		{"create", func(f *flakyFS) { f.FailCreates(1) }},
+		{"short-write", func(f *flakyFS) { f.LimitWriteBytes(100) }},
+		{"sync", func(f *flakyFS) { f.FailSyncs(1) }},
+		{"rename", func(f *flakyFS) { f.FailRenames(1) }},
 	}
 	for _, tc := range arm {
 		t.Run(tc.name, func(t *testing.T) {
-			flaky := faultfs.NewFlaky(faultfs.OS)
+			flaky := newFlakyFS(faultfs.OS)
 			tc.prep(flaky)
-			if _, err := warm.SaveSnapshotFile(flaky, path); !errors.Is(err, faultfs.ErrInjected) {
+			if _, err := warm.SaveSnapshotFile(flaky, path); !errors.Is(err, errInjected) {
 				t.Fatalf("save survived injected %s fault: %v", tc.name, err)
 			}
 			now, err := os.ReadFile(path)
@@ -304,14 +304,14 @@ func TestLoadSnapshotFileCrashDebris(t *testing.T) {
 
 	// The crash: a new save that dies after 1000 bytes, leaving the torn
 	// temp file on disk exactly as the page cache would have.
-	flaky := faultfs.NewFlaky(faultfs.OS)
+	flaky := newFlakyFS(faultfs.OS)
 	flaky.LimitWriteBytes(1000)
 	full := snapshotBytes(t, warm)
 	f, err := flaky.Create(path + ".tmp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(full); !errors.Is(err, faultfs.ErrInjected) {
+	if _, err := f.Write(full); !errors.Is(err, errInjected) {
 		t.Fatalf("torn write: %v", err)
 	}
 	f.Close()
@@ -343,7 +343,7 @@ func TestLoadSnapshotFileQuarantine(t *testing.T) {
 	}
 
 	// Bit-flip in the middle of the file via the read seam.
-	flaky := faultfs.NewFlaky(faultfs.OS)
+	flaky := newFlakyFS(faultfs.OS)
 	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)

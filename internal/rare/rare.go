@@ -14,8 +14,8 @@
 //     h-transform) under a defensive mixture; and
 //   - multilevel splitting (split.go): fixed-effort splitting on level
 //     crossings of the margin/walk state, for verdicts where a good
-//     i.i.d. tilt is unavailable (Δ-synchronous reduced strings, CP
-//     windows) and as an independent cross-check elsewhere.
+//     i.i.d. tilt is unavailable (Δ-synchronous reduced strings) and as
+//     an independent cross-check elsewhere.
 //
 // Both engines keep the repository's determinism contract: estimates are
 // bit-identical at every worker count, every sample (or splitting
@@ -37,12 +37,10 @@ import (
 
 // Options configures a tilted estimation run.
 type Options struct {
-	// Theta is the symbol tilt. In SettlementTilted and CPTilted, 0
-	// selects it automatically (a pilot sweep over fractions of the
-	// saddle tilt, see AutoTheta) and enables the defensive mixture; in
-	// DeltaUnsettledTilted, 0 selects the half-saddle heuristic. In
-	// SettlementPrefixTilted, 0 deliberately means the unit tilt — the
-	// PR 3 streaming path bit for bit — and no auto selection happens.
+	// Theta is the symbol tilt. In SettlementTilted, 0 selects it
+	// automatically (a pilot sweep over fractions of the saddle tilt, see
+	// AutoTheta) and enables the defensive mixture; in
+	// DeltaUnsettledTilted, 0 selects the half-saddle heuristic.
 	Theta float64
 	// ReachTheta tilts the stationary initial-reach proposal of the
 	// settlement estimator (geometric ratio β·e^{ReachTheta}); 0 follows
@@ -224,61 +222,6 @@ func SettlementTilted(p charstring.Params, k int, opt Options) (Result, error) {
 	return Result{WeightedEstimate: est, Engine: "tilt", Theta: theta, Rounds: rounds, PilotN: pilotN}, nil
 }
 
-// SettlementPrefixTilted estimates the finite-prefix settlement quantity
-// of experiment E3 — Pr[µ_x(y) ≥ 0] for |x| = m, |y| = k — tilting only
-// the k excursion symbols; the reach-building prefix stays on the true
-// law and contributes no likelihood ratio. At Theta = 0 (explicitly, not
-// auto) the run is the PR 3 streaming path bit for bit: same SampleSeed
-// streams, same thresholds, same verdict, unit weights.
-func SettlementPrefixTilted(p charstring.Params, m, k int, opt Options) (Result, error) {
-	if m < 0 || k < 1 {
-		return Result{}, fmt.Errorf("rare: invalid m=%d k=%d", m, k)
-	}
-	opt = opt.withDefaults()
-	theta := opt.Theta
-	law := TiltSync(p, theta)
-	est, rounds, err := runTilted(opt, m+k, law.BlockSampler(m), func() *TiltedVerdict {
-		return &TiltedVerdict{Inner: mc.NewSettlementStreamVerdict(m, m+k), Tilt: law.Tilt, Skip: m}
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{WeightedEstimate: est, Engine: "tilt", Theta: theta, Rounds: rounds}, nil
-}
-
-// CPTilted estimates the E5 event (a UVP-free window of length ≥ k in a
-// T-slot string) under the tilted symbol law.
-func CPTilted(p charstring.Params, T, k int, consistentTies bool, opt Options) (Result, error) {
-	if T < 1 || k < 1 {
-		return Result{}, fmt.Errorf("rare: invalid T=%d k=%d", T, k)
-	}
-	opt = opt.withDefaults()
-	job := func(theta float64) (runner.BlockSampler, func() *TiltedVerdict) {
-		law := TiltSync(p, theta)
-		return law.BlockSampler(0), func() *TiltedVerdict {
-			return &TiltedVerdict{Inner: mc.NewCPStreamVerdict(k, consistentTies), Tilt: law.Tilt}
-		}
-	}
-	theta, pilotN := opt.Theta, 0
-	if theta == 0 {
-		var err error
-		theta, pilotN, err = AutoTheta(SaddleTheta(p), nil, max(opt.N/10, 10_000), opt.Seed,
-			func(th float64, n int, seed int64) (runner.WeightedEstimate, error) {
-				fill, newV := job(th)
-				return runner.RunStreamWeightedBlocks(runner.Config{N: n, Seed: seed, Workers: opt.Workers, BatchSize: opt.BatchSize, Name: "rare_pilot"}, T, fill, newV)
-			})
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	fill, newV := job(theta)
-	est, rounds, err := runTilted(opt, T, fill, newV)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{WeightedEstimate: est, Engine: "tilt", Theta: theta, Rounds: rounds, PilotN: pilotN}, nil
-}
-
 // DeltaUnsettledTilted estimates the E4 event (slot s lacks the Lemma 2
 // (k, Δ)-settlement certificate) under the tilted quadrivalent law. The
 // conditioned slot s and everything before it stay on the true law (skip
@@ -331,25 +274,6 @@ func SettlementSplit(p charstring.Params, k int, cfg SplitConfig) (Result, error
 		cfg.Levels = MarginLevels(p, k)
 	}
 	est, err := RunSplit(cfg, func() SplitState { return newMarginSplitState(p, k) })
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		WeightedEstimate: est, Engine: "split", Levels: len(cfg.Levels),
-		Trajectories: cfg.replicates() * cfg.particles() * (len(cfg.Levels) + 1),
-	}, nil
-}
-
-// CPSplit estimates the E5 event by splitting on certified-window level
-// crossings. A nil cfg.Levels selects CPLevels.
-func CPSplit(p charstring.Params, T, k int, consistentTies bool, cfg SplitConfig) (Result, error) {
-	if T < 1 || k < 1 {
-		return Result{}, fmt.Errorf("rare: invalid T=%d k=%d", T, k)
-	}
-	if cfg.Levels == nil {
-		cfg.Levels = CPLevels(k)
-	}
-	est, err := RunSplit(cfg, func() SplitState { return newCPSplitState(p, T, k, consistentTies) })
 	if err != nil {
 		return Result{}, err
 	}

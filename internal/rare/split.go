@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"multihonest/internal/charstring"
-	"multihonest/internal/cp"
 	"multihonest/internal/deltasync"
 	"multihonest/internal/margin"
 	"multihonest/internal/runner"
@@ -14,9 +13,8 @@ import (
 // level crossings of an importance function over the margin/walk state,
 // for verdicts where a good i.i.d. symbol tilt is unavailable (the
 // Δ-synchronous reduction makes the reduced-string law non-i.i.d. in the
-// raw symbols; the CP window event is driven by walk geometry rather than
-// symbol frequencies) and as an independent cross-check of the tilted
-// engine elsewhere.
+// raw symbols) and as an independent cross-check of the tilted engine
+// elsewhere.
 //
 // # Fixed-effort splitting
 //
@@ -269,57 +267,6 @@ func (st *marginSplitState) Hit() bool { return st.t >= st.k && st.mu >= 0 }
 
 func (st *marginSplitState) CopyFrom(src SplitState) {
 	*st = *src.(*marginSplitState)
-}
-
-// cpSplitState is the CP particle: a T-slot string fed to the certified
-// UVP-free-window scanner, with importance the certified window length —
-// monotone along the trajectory — promoted to the exact window value at
-// completion. A hit (exact window ≥ k) therefore has terminal importance
-// ≥ k, so any pause schedule of window lengths ≤ k is sound even though
-// the certified bound may trail the exact value mid-string.
-type cpSplitState struct {
-	T, k int
-	th   charstring.Thresholds
-	ws   cp.WindowStream
-	t    int
-}
-
-func newCPSplitState(p charstring.Params, T, k int, consistentTies bool) *cpSplitState {
-	return &cpSplitState{T: T, k: k, th: p.Thresholds(), ws: cp.WindowStream{ConsistentTies: consistentTies}}
-}
-
-// CPLevels returns the default pause schedule for the CP particle: window
-// lengths every ~4 slots up to (not including) k.
-func CPLevels(k int) []float64 {
-	return EvenLevels(float64(k), k/4)
-}
-
-func (st *cpSplitState) Start(rng *runner.SM64) {
-	st.ws.Reset()
-	st.t = 0
-}
-
-func (st *cpSplitState) Advance(rng *runner.SM64) {
-	st.ws.Feed(st.th.Symbol(rng.Uint64()))
-	st.t++
-}
-
-func (st *cpSplitState) Done() bool { return st.t >= st.T }
-
-func (st *cpSplitState) Importance() float64 {
-	c := st.ws.Certified()
-	if st.Done() {
-		c = max(c, st.ws.Finish())
-	}
-	return float64(c)
-}
-
-func (st *cpSplitState) Hit() bool { return st.Done() && st.Importance() >= float64(st.k) }
-
-func (st *cpSplitState) CopyFrom(src SplitState) {
-	o := src.(*cpSplitState)
-	st.T, st.k, st.th, st.t = o.T, o.k, o.th, o.t
-	st.ws.CopyFrom(&o.ws)
 }
 
 // deltaSplitState is the Δ-synchronous particle: a T-slot semi-synchronous

@@ -52,22 +52,6 @@ func TestSplitNoLevelsIsPlainMC(t *testing.T) {
 	}
 }
 
-// TestCPSplitMatchesMC: the certified-window cascade agrees with the
-// plain streaming E5 estimator.
-func TestCPSplitMatchesMC(t *testing.T) {
-	p := charstring.MustParams(0.4, 0.3)
-	const T, k, n = 250, 35, 80000
-	plain := mc.CPViolationPossible(p, T, k, n, 41, false, 0)
-	r, err := CPSplit(p, T, k, false, SplitConfig{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tol := 3*math.Sqrt(plain.P*(1-plain.P)/float64(n)) + 3*1.96*r.SE
-	if d := math.Abs(r.P - plain.P); d > tol {
-		t.Fatalf("split E5 %v vs plain %v differ by %v > %v", r.P, plain.P, d, tol)
-	}
-}
-
 // TestDeltaSplitMatchesMC: the candidate-free-progress cascade agrees
 // with the plain streaming E4 estimator.
 func TestDeltaSplitMatchesMC(t *testing.T) {

@@ -10,6 +10,19 @@ import (
 	"multihonest/internal/settlement"
 )
 
+// prefixTilted estimates the finite-prefix settlement quantity of
+// experiment E3 — Pr[µ_x(y) ≥ 0] for |x| = m, |y| = k — through the
+// stopping rule, tilting only the k excursion symbols: the reach-building
+// prefix stays on the true law and contributes no likelihood ratio.
+// opt.Theta is used as given; 0 is the unit tilt.
+func prefixTilted(p charstring.Params, m, k int, opt Options) (Result, error) {
+	law := TiltSync(p, opt.Theta)
+	est, rounds, err := runTilted(opt.withDefaults(), m+k, law.BlockSampler(m), func() *TiltedVerdict {
+		return &TiltedVerdict{Inner: mc.NewSettlementStreamVerdict(m, m+k), Tilt: law.Tilt, Skip: m}
+	})
+	return Result{WeightedEstimate: est, Engine: "tilt", Theta: opt.Theta, Rounds: rounds}, err
+}
+
 // TestUnitTiltBitIdentical is the exactness pin of the tilting engine: at
 // θ = 0 the proposal is the true law, every weight is exactly 1, and the
 // weighted run IS the PR 3 streaming path — same SampleSeed streams, same
@@ -23,7 +36,7 @@ func TestUnitTiltBitIdentical(t *testing.T) {
 	// roundSeed(seed, 0); point the unweighted reference at the same one.
 	old := mc.SettlementViolation(p, m, k, n, roundSeed(seed, 0), 0)
 
-	r, err := SettlementPrefixTilted(p, m, k, Options{Theta: 0, N: n, MaxRounds: 1, Seed: seed, RelErr: 1e-9})
+	r, err := prefixTilted(p, m, k, Options{Theta: 0, N: n, MaxRounds: 1, Seed: seed, RelErr: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,28 +192,12 @@ func TestSettlementPrefixTiltedMatchesDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact := curve[k-1]
-	r, err := SettlementPrefixTilted(p, m, k, Options{Theta: 0.5 * SaddleTheta(p), N: 60000, MaxRounds: 5, Seed: 11})
+	r, err := prefixTilted(p, m, k, Options{Theta: 0.5 * SaddleTheta(p), N: 60000, MaxRounds: 5, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if exact < r.Lo || exact > r.Hi {
 		t.Fatalf("finite-prefix DP %.4e outside tilted CI [%.4e, %.4e] (%v)", exact, r.Lo, r.Hi, r.WeightedEstimate)
-	}
-}
-
-// TestCPTiltedMatchesPlainMC: the tilted E5 estimator agrees with the
-// plain streaming estimator at a moderate event probability.
-func TestCPTiltedMatchesPlainMC(t *testing.T) {
-	p := charstring.MustParams(0.4, 0.3)
-	const T, k, n = 250, 35, 60000
-	plain := mc.CPViolationPossible(p, T, k, n, 21, false, 0)
-	r, err := CPTilted(p, T, k, false, Options{Theta: 0.25 * SaddleTheta(p), N: n, MaxRounds: 2, Seed: 22})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tol := 3*math.Sqrt(plain.P*(1-plain.P)/float64(n)) + 3*1.96*r.SE
-	if d := math.Abs(r.P - plain.P); d > tol {
-		t.Fatalf("tilted E5 %v vs plain %v differ by %v > %v", r.P, plain.P, d, tol)
 	}
 }
 

@@ -37,9 +37,6 @@ type Computer struct {
 // New returns a Computer for the (ǫ, ph)-Bernoulli law.
 func New(p charstring.Params) *Computer { return &Computer{params: p} }
 
-// Params returns the parameter point.
-func (c *Computer) Params() charstring.Params { return c.params }
-
 // stencil is the Section 6.6 transition law at this parameter point.
 func (c *Computer) stencil(sticky bool) lattice.Stencil {
 	ph, pH, pA := c.params.Probabilities()

@@ -102,9 +102,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveDuration records a duration as seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
 // ObserveWithExemplar records one value and remembers (bucket-wise) the
 // trace that produced it; /metrics then emits the exemplar after that
 // bucket's line. Allocates one small struct — call it from edges and
@@ -134,18 +131,6 @@ func (h *Histogram) BucketExemplar(i int) *Exemplar {
 	return h.exemplars[i].Load()
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Sum returns the sum of all observed values, in seconds.
 func (h *Histogram) Sum() float64 {
 	if h == nil {
@@ -161,24 +146,6 @@ func (h *Histogram) snapshot() []uint64 {
 		out[i] = h.counts[i].Load()
 	}
 	return out
-}
-
-// Quantile estimates the q-quantile (0 < q ≤ 1) from the bucket counts by
-// linear interpolation inside the selected bucket — the same estimator as
-// Prometheus's histogram_quantile. Observations in the +Inf bucket clamp
-// to the largest finite bound. Returns 0 when the histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	counts := h.snapshot()
-	cum := make([]float64, len(counts))
-	var total float64
-	for i, c := range counts {
-		total += float64(c)
-		cum[i] = total
-	}
-	return quantileFromCumulative(h.bounds, cum, q)
 }
 
 // quantileFromCumulative is the shared bucket-quantile estimator: bounds

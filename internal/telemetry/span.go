@@ -36,7 +36,8 @@ import (
 // MaxSpans is the span-arena capacity of one Trace. Sized for the
 // deepest realistic request — root, queue, forward with per-attempt
 // children, hedged local compute, a batch's per-group spans, serialize —
-// with headroom; overflow increments Trace.DroppedSpans.
+// with headroom; overflow increments the trace's dropped-span count,
+// which its snapshot reports as DroppedSpans.
 const MaxSpans = 32
 
 // inlineSpans is how many arena slots are embedded in the Trace; spans

@@ -69,7 +69,7 @@ func TestSpanArenaOverflowDrops(t *testing.T) {
 			t.Fatal("overflow span is active")
 		}
 	}
-	if got := tr.DroppedSpans(); got != 5 {
+	if got := tr.droppedSpans.Load(); got != 5 {
 		t.Fatalf("dropped = %d, want 5", got)
 	}
 	if got := len(tr.Snapshot().Spans); got != MaxSpans {
@@ -183,7 +183,7 @@ func TestConcurrentSpansAndSnapshot(t *testing.T) {
 	if got := len(tr.Snapshot().Spans); got != MaxSpans {
 		t.Fatalf("spans = %d, want the full arena %d", got, MaxSpans)
 	}
-	if got := tr.DroppedSpans(); got != int64(1+8*16-MaxSpans) {
+	if got := tr.droppedSpans.Load(); got != int64(1+8*16-MaxSpans) {
 		t.Fatalf("dropped = %d, want %d", got, 1+8*16-MaxSpans)
 	}
 }
@@ -245,8 +245,8 @@ func TestSpanOverflowChunkRace(t *testing.T) {
 				t.Fatalf("trial %d: overflow span %d = %+v", trial, inlineSpans+i, sp)
 			}
 		}
-		if want := int64(inlineSpans + writers*perWriter - MaxSpans); tr.DroppedSpans() != want {
-			t.Fatalf("trial %d: dropped = %d, want %d", trial, tr.DroppedSpans(), want)
+		if want := int64(inlineSpans + writers*perWriter - MaxSpans); tr.droppedSpans.Load() != want {
+			t.Fatalf("trial %d: dropped = %d, want %d", trial, tr.droppedSpans.Load(), want)
 		}
 	}
 }

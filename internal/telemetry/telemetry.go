@@ -213,12 +213,6 @@ func (f *family) seriesFor(vals []string, mk func() *series) *series {
 	return s
 }
 
-// Counter registers (or retrieves) an unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	f := r.lookupFamily(name, help, kindCounter, nil, nil)
-	return f.seriesFor(nil, func() *series { return &series{c: &Counter{}} }).c
-}
-
 // CounterVec registers a counter family with the given label keys.
 func (r *Registry) CounterVec(name, help string, labelKeys ...string) *CounterVec {
 	return &CounterVec{fam: r.lookupFamily(name, help, kindCounter, labelKeys, nil)}

@@ -138,7 +138,6 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	}
 	var nilH *Histogram
 	nilH.Observe(1)
-	nilH.ObserveDuration(time.Second)
 	if nilH.Quantile(0.5) != 0 || nilH.Count() != 0 || nilH.Sum() != 0 {
 		t.Fatal("nil histogram must be inert")
 	}
@@ -147,7 +146,7 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 func TestObserveDuration(t *testing.T) {
 	r := New()
 	h := r.Histogram("dur_seconds", "help", []float64{0.01, 1})
-	h.ObserveDuration(5 * time.Millisecond)
+	h.Observe((5 * time.Millisecond).Seconds())
 	if got := h.snapshot()[0]; got != 1 {
 		t.Fatalf("5ms must land in the 10ms bucket, snapshot %v", h.snapshot())
 	}
@@ -166,7 +165,7 @@ func TestRecordingZeroAllocs(t *testing.T) {
 		"gauge_set":     func() { g.Set(3.14) },
 		"gauge_add":     func() { g.Add(1) },
 		"hist_observe":  func() { h.Observe(0.003) },
-		"hist_duration": func() { h.ObserveDuration(3 * time.Millisecond) },
+		"hist_duration": func() { h.Observe((3 * time.Millisecond).Seconds()) },
 		"trace_span":    func() { tr.AddSpan("build", SpanRef{}, tr.Start(), time.Millisecond) },
 	}
 	for name, f := range cases {

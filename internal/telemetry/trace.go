@@ -172,14 +172,6 @@ func (t *Trace) Duration() time.Duration {
 	return time.Duration(t.durNS.Load())
 }
 
-// DroppedSpans counts spans lost to arena overflow.
-func (t *Trace) DroppedSpans() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.droppedSpans.Load()
-}
-
 // traceKey is the context key of the request trace.
 type traceKey struct{}
 

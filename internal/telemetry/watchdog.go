@@ -119,9 +119,6 @@ func (w *Watchdog) Close() {
 	<-w.done
 }
 
-// Bundles reports how many bundles this watchdog has written.
-func (w *Watchdog) Bundles() int64 { return w.bundles.Load() }
-
 // tick evaluates every trigger against a fresh self-scrape.
 func (w *Watchdog) tick() {
 	var b strings.Builder

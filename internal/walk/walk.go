@@ -24,9 +24,6 @@ func FromString(w charstring.String) Trajectory {
 	return Trajectory{S: w.Walks()}
 }
 
-// Len returns the number of steps T.
-func (tr Trajectory) Len() int { return len(tr.S) - 1 }
-
 // At returns S_t. It panics if t ∉ [0, T].
 func (tr Trajectory) At(t int) int { return tr.S[t] }
 
@@ -46,19 +43,6 @@ func (tr Trajectory) SuffixMax() []int {
 	x[len(tr.S)-1] = tr.S[len(tr.S)-1]
 	for t := len(tr.S) - 2; t >= 0; t-- {
 		x[t] = max(x[t+1], tr.S[t])
-	}
-	return x
-}
-
-// Reflected returns X_t = S_t − M_t, the walk's height above its running
-// minimum, for t = 0..T. X is the reach process ρ of Theorem 5 for strings
-// read left to right.
-func (tr Trajectory) Reflected() []int {
-	x := make([]int, len(tr.S))
-	m := tr.S[0]
-	for t := range tr.S {
-		m = min(m, tr.S[t])
-		x[t] = tr.S[t] - m
 	}
 	return x
 }
@@ -147,8 +131,11 @@ func ReachLaw(epsilon float64, m, n int) ([]float64, error) {
 			if mass == 0 {
 				continue
 			}
-			next[min(r+1, m)] += mass * pUp
-			next[max(r-1, 0)] += mass * pDown
+			// float64(...) rounds each product before the add, so no
+			// architecture fuses the two into one FMA: the law, and the
+			// DP it seeds, are bitwise the same on every GOARCH.
+			next[min(r+1, m)] += float64(mass * pUp)
+			next[max(r-1, 0)] += float64(mass * pDown)
 		}
 		for nextHi > 0 && next[nextHi] == 0 {
 			nextHi--
@@ -162,14 +149,3 @@ func ReachLaw(epsilon float64, m, n int) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// RuinProbability returns the gambler's-ruin quantity p/q: the probability
-// that an ǫ-downward-biased walk started at 0 ever reaches +1. It equals
-// A(1) for the ascent generating function of Section 5.
-func RuinProbability(epsilon float64) float64 {
-	return (1 - epsilon) / (1 + epsilon)
-}
-
-// DescentExpectation returns the expected time for the ǫ-downward-biased
-// walk to first reach −1, which is D′(1) = 1/ǫ.
-func DescentExpectation(epsilon float64) float64 { return 1 / epsilon }

@@ -8,11 +8,24 @@ import (
 	"multihonest/internal/charstring"
 )
 
+// reflected returns X_t = S_t − M_t, the walk's height above its running
+// minimum, for t = 0..T. X is the reach process ρ of Theorem 5 for strings
+// read left to right.
+func reflected(tr Trajectory) []int {
+	x := make([]int, len(tr.S))
+	m := tr.S[0]
+	for t := range tr.S {
+		m = min(m, tr.S[t])
+		x[t] = tr.S[t] - m
+	}
+	return x
+}
+
 func TestTrajectoryBasics(t *testing.T) {
 	w := charstring.MustParse("hAAhH")
 	tr := FromString(w)
-	if tr.Len() != 5 {
-		t.Fatalf("len = %d", tr.Len())
+	if T := len(tr.S) - 1; T != 5 {
+		t.Fatalf("len = %d", T)
 	}
 	wantS := []int{0, -1, 0, 1, 0, -1}
 	for i, v := range wantS {
@@ -34,7 +47,7 @@ func TestTrajectoryBasics(t *testing.T) {
 			t.Fatalf("suffix max %v, want %v", sm, wantSM)
 		}
 	}
-	refl := tr.Reflected()
+	refl := reflected(tr)
 	wantR := []int{0, 0, 1, 2, 1, 0}
 	for i := range wantR {
 		if refl[i] != wantR[i] {
@@ -85,7 +98,7 @@ func TestDominanceOverFiniteWalk(t *testing.T) {
 	counts := make([]int, 64)
 	for i := 0; i < n; i++ {
 		w := law.Sample(rng, T)
-		h := FromString(w).Reflected()[T]
+		h := reflected(FromString(w))[T]
 		if h < len(counts) {
 			counts[h]++
 		}
@@ -101,12 +114,17 @@ func TestDominanceOverFiniteWalk(t *testing.T) {
 	}
 }
 
+// TestGamblersRuin: the stationary reach ratio β = (1−ǫ)/(1+ǫ) is the
+// gambler's-ruin probability p/q that an ǫ-downward-biased walk started at
+// 0 ever reaches +1, i.e. A(1) for the ascent generating function of
+// Section 5.
 func TestGamblersRuin(t *testing.T) {
-	if got := RuinProbability(0.2); math.Abs(got-2.0/3) > 1e-12 {
-		t.Fatalf("ruin = %v", got)
+	x, err := NewStationaryReach(0.2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := DescentExpectation(0.25); got != 4 {
-		t.Fatalf("descent expectation = %v", got)
+	if math.Abs(x.Beta-2.0/3) > 1e-12 {
+		t.Fatalf("ruin = %v", x.Beta)
 	}
 }
 
